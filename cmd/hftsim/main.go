@@ -72,16 +72,12 @@ func main() {
 	flag.Parse()
 
 	if *campaign > 0 {
-		workers := *parallel
-		if workers < 1 {
-			workers = -1 // fleet scheduler: all cores
-		}
 		rep, err := chaos.RunCampaign(chaos.CampaignOptions{
 			Runs:    *campaign,
 			Seed:    *campaignSeed,
 			Dir:     *campaignDir,
 			Log:     os.Stdout,
-			Workers: workers,
+			Workers: *parallel,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hftsim: campaign: %v\n", err)

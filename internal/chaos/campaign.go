@@ -7,7 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/harness"
+	"repro/internal/sched"
 )
 
 // CampaignOptions configures a campaign.
@@ -31,8 +31,8 @@ type CampaignOptions struct {
 	// shrink results).
 	Log io.Writer
 	// Workers is the fan-out width on the fleet work-stealing scheduler
-	// (internal/sched): < 0 selects all cores, 0 falls back to the
-	// deprecated process-global harness.SetWorkers value.
+	// (internal/sched); < 1 means all cores. Reports are slotted by run
+	// index, so the campaign is identical at any width.
 	Workers int
 }
 
@@ -80,7 +80,7 @@ func ScheduleAt(seed int64, i int) Schedule {
 }
 
 // RunCampaign generates and executes o.Runs schedules across the
-// harness worker pool, then shrinks and emits artifacts for the first
+// fleet scheduler, then shrinks and emits artifacts for the first
 // MaxShrink violations (in run order — deterministic regardless of
 // worker interleaving).
 func RunCampaign(o CampaignOptions) (CampaignReport, error) {
@@ -99,7 +99,7 @@ func RunCampaign(o CampaignOptions) (CampaignReport, error) {
 	// Execute the whole batch on the fleet scheduler. Reports land in
 	// run-index slots, so everything downstream is deterministic.
 	reports := make([]Report, o.Runs)
-	harness.ForEachWorkers(o.Workers, o.Runs, func(i int) {
+	sched.ForEach(o.Workers, o.Runs, func(i int) {
 		reports[i] = Execute(ScheduleAt(o.Seed, i))
 	})
 

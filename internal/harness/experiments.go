@@ -10,6 +10,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/perfmodel"
 	"repro/internal/replication"
+	"repro/internal/sched"
 )
 
 // Table1Row is one cell group of the paper's Table 1: a workload at an
@@ -34,8 +35,8 @@ var workloadKinds = map[string]uint32{
 // Table1 regenerates the paper's Table 1 on the simulator: the three
 // workloads at epoch lengths 1K/2K/4K/8K under the original (§2) and
 // revised (§4.3) protocols. The three bare baselines and the 24 table
-// cells are all independent simulations, fanned across SetWorkers
-// goroutines; rows are assembled in fixed order afterwards.
+// cells are all independent simulations, fanned across the scale's
+// workers; rows are assembled in fixed order afterwards.
 func Table1(scale Scale) []Table1Row {
 	paper := perfmodel.Table1Paper()
 	workloads := []string{"cpu", "write", "read"}
@@ -280,13 +281,8 @@ type AblationResult struct {
 // workload under {random, lru} TLB replacement × {takeover on, off}.
 // The hazard (divergence) must appear exactly in the random+off cell.
 // The four cells are independent replicated runs, fanned concurrently
-// across the process-global worker count; TLBAblationWorkers takes the
-// count explicitly.
-func TLBAblation() []AblationResult { return TLBAblationWorkers(0) }
-
-// TLBAblationWorkers is TLBAblation with a per-call worker count
-// (0: the deprecated process-global SetWorkers value).
-func TLBAblationWorkers(workers int) []AblationResult {
+// across workers (< 1 means all cores).
+func TLBAblation(workers int) []AblationResult {
 	type cfg struct {
 		policy   string
 		takeover bool
@@ -298,7 +294,7 @@ func TLBAblationWorkers(workers int) []AblationResult {
 		}
 	}
 	out := make([]AblationResult, len(cfgs))
-	ForEachWorkers(workers, len(cfgs), func(i int) {
+	sched.ForEach(workers, len(cfgs), func(i int) {
 		c := cfgs[i]
 		div := 0
 		res := RunReplicated(ReplicatedOptions{

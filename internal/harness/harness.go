@@ -13,6 +13,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/netsim"
 	"repro/internal/replication"
+	"repro/internal/sched"
 	"repro/internal/scsi"
 	"repro/internal/session"
 	"repro/internal/sim"
@@ -39,16 +40,17 @@ type Scale struct {
 	// Disk provides the device service times (paper: 26 ms writes,
 	// 24.2 ms reads).
 	Disk scsi.DiskConfig
-	// Workers is the per-call worker count drivers fan this scale's
-	// independent simulations across (see ForEachWorkers). Zero falls
-	// back to the deprecated process-global SetWorkers value, keeping
-	// existing callers unchanged.
+	// Workers is how many of this scale's independent simulations a
+	// driver runs concurrently; < 1 means all cores. Results are slotted
+	// by index, so output is bit-for-bit identical at any width.
 	Workers int
 }
 
 // forEach fans a driver's independent simulations across this scale's
-// worker count.
-func (s Scale) forEach(n int, fn func(i int)) { ForEachWorkers(s.Workers, n, fn) }
+// worker count on the work-stealing scheduler (internal/sched). A panic
+// in any simulation (the harness's consistency checks panic) is
+// re-raised on the caller.
+func (s Scale) forEach(n int, fn func(i int)) { sched.ForEach(s.Workers, n, fn) }
 
 // QuickScale is small enough for unit tests and go-test benchmarks: the
 // device times, per-op computation, privileged density and block size

@@ -2,21 +2,16 @@ package harness
 
 import (
 	"math"
-	"reflect"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/guest"
-	"repro/internal/replication"
-	"repro/internal/sim"
 )
 
 func TestForEachCoversAllIndices(t *testing.T) {
-	defer SetWorkers(1)
 	for _, w := range []int{1, 3, 8} {
-		SetWorkers(w)
+		scale := QuickScale()
+		scale.Workers = w
 		var hits [57]atomic.Int64
-		ForEach(len(hits), func(i int) { hits[i].Add(1) })
+		scale.forEach(len(hits), func(i int) { hits[i].Add(1) })
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", w, i, got)
@@ -26,14 +21,14 @@ func TestForEachCoversAllIndices(t *testing.T) {
 }
 
 func TestForEachPropagatesPanic(t *testing.T) {
-	defer SetWorkers(1)
-	SetWorkers(4)
+	scale := QuickScale()
+	scale.Workers = 4
 	defer func() {
 		if recover() == nil {
 			t.Fatal("worker panic was swallowed")
 		}
 	}()
-	ForEach(8, func(i int) {
+	scale.forEach(8, func(i int) {
 		if i == 5 {
 			panic("boom")
 		}
@@ -44,13 +39,10 @@ func TestForEachPropagatesPanic(t *testing.T) {
 // check in miniature: the same experiment fanned across 4 workers must
 // produce results identical to the serial run.
 func TestParallelExperimentsDeterministic(t *testing.T) {
-	defer SetWorkers(1)
-	scale := QuickScale()
-
-	SetWorkers(1)
-	f2serial, endSerial := Figure2(scale)
-	SetWorkers(4)
-	f2par, endPar := Figure2(scale)
+	serial, par := QuickScale(), QuickScale()
+	serial.Workers, par.Workers = 1, 4
+	f2serial, endSerial := Figure2(serial)
+	f2par, endPar := Figure2(par)
 	if len(f2serial) != len(f2par) {
 		t.Fatalf("point counts differ: %d vs %d", len(f2serial), len(f2par))
 	}
@@ -64,15 +56,5 @@ func TestParallelExperimentsDeterministic(t *testing.T) {
 	}
 	if endSerial.Predicted != endPar.Predicted {
 		t.Fatalf("figure2 endpoint differs")
-	}
-
-	SetWorkers(1)
-	campSerial := FailureCampaign(scale, guest.WorkloadCPU, 2048,
-		replication.ProtocolOld, CampaignTimes(0, 100*sim.Millisecond, 3))
-	SetWorkers(3)
-	campPar := FailureCampaign(scale, guest.WorkloadCPU, 2048,
-		replication.ProtocolOld, CampaignTimes(0, 100*sim.Millisecond, 3))
-	if !reflect.DeepEqual(campSerial, campPar) {
-		t.Fatalf("campaign differs:\nserial:   %+v\nparallel: %+v", campSerial, campPar)
 	}
 }

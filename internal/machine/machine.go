@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sync/atomic"
 
 	"repro/internal/isa"
 )
@@ -64,7 +63,7 @@ type Config struct {
 	// falls back to the per-instruction fast loop. Architected state,
 	// statistics and TLB behaviour are identical either way (traces are
 	// a pure execution-speed layer); the switch exists for A/B
-	// measurement and differential testing. See also SetTraceDispatch.
+	// measurement and differential testing.
 	NoTraces bool
 	// Image, when set, backs RAM with a shared immutable base image:
 	// pages are copy-on-write faulted on the first differing store (see
@@ -187,8 +186,7 @@ type Machine struct {
 	pages []*decodedPage
 
 	// traceOn enables superblock trace dispatch in Run (see trace.go),
-	// resolved at construction from Config.NoTraces and the package
-	// default (SetTraceDispatch).
+	// resolved at construction from Config.NoTraces.
 	traceOn bool
 }
 
@@ -245,7 +243,7 @@ func New(cfg Config) *Machine {
 		TLB:     NewTLB(cfg.TLBSize, pol),
 		pages:   grabPages(npages),
 		memSize: cfg.MemBytes,
-		traceOn: !cfg.NoTraces && !traceDispatchOff.Load(),
+		traceOn: !cfg.NoTraces,
 	}
 	m.frames = grabFrames(npages)
 	m.owned = grabOwned((npages + 63) / 64)
@@ -274,15 +272,6 @@ func New(cfg Config) *Machine {
 
 // MemSize returns the physical RAM size in bytes.
 func (m *Machine) MemSize() uint32 { return m.memSize }
-
-// traceDispatchOff is the package-wide default for superblock trace
-// dispatch (zero value: traces on).
-var traceDispatchOff atomic.Bool
-
-// SetTraceDispatch sets the package-wide default for superblock trace
-// dispatch, applied to machines created afterwards (hftbench's
-// -trace=off flag). Per-machine Config.NoTraces overrides independently.
-func SetTraceDispatch(on bool) { traceDispatchOff.Store(!on) }
 
 // Config returns the machine's configuration (defaults applied).
 func (m *Machine) Config() Config { return m.cfg }

@@ -361,6 +361,7 @@ func TestTraceFuzzDifferential(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			name := fmt.Sprintf("%s/seed%d", mix.name, seed)
 			t.Run(name, func(t *testing.T) {
+				t.Parallel() // independent machines; run serially this suite is the slowest package test
 				src := mix.vec + mix.gen(rand.New(rand.NewSource(seed*7919+int64(len(mix.name)))))
 				fuzzDiff(t, mix.cfg, src, chunks[seed%int64(len(chunks))], 120_000)
 			})

@@ -216,17 +216,8 @@ func (s *sender) transmitBatch(p *sim.Proc, b *epochBatch, stopped func() bool) 
 // ack watermark, then release whatever the new watermark commits.
 func (c *coordinator) ackHandler(ps *peerState) func(netsim.Message) {
 	return func(raw netsim.Message) {
-		m, ok := raw.Payload.(message)
-		if !ok || m.Kind != msgAck {
+		if !ps.absorb(raw, c.s.seq, c.stats) {
 			return
-		}
-		c.stats.AcksReceived++
-		if m.AckSeq > ps.acked {
-			ps.acked = m.AckSeq
-		}
-		if ps.dead && ps.acked >= c.s.seq {
-			ps.dead = false
-			ps.progressAt = 0
 		}
 		// A failstopped coordinator must not emit: an acknowledgement
 		// already in flight when the processor stopped still arrives
@@ -282,30 +273,6 @@ func (c *coordinator) ocRelease() {
 	}
 }
 
-// ocCheckLiveness applies the sender's acknowledgement-liveness timeout
-// from a wait tick: a peer silent for peerTimeout while its channel
-// stays up is declared dead and excluded, so a partitioned peer cannot
-// freeze the commit window forever.
-func (c *coordinator) ocCheckLiveness(p *sim.Proc) {
-	if c.s.peerTimeout <= 0 {
-		return
-	}
-	now := p.Now()
-	for _, ps := range c.s.peers {
-		if ps.excluded() || ps.acked >= c.s.seq {
-			continue
-		}
-		if ps.progressAt == 0 || ps.acked > ps.seenAcked {
-			ps.seenAcked, ps.progressAt = ps.acked, now
-			continue
-		}
-		if now-ps.progressAt >= c.s.peerTimeout {
-			ps.dead = true
-			c.stats.PeerTimeouts++
-		}
-	}
-}
-
 // ocWait blocks until cond holds, waking on acknowledgement arrivals and
 // ticking the liveness detector through silences. Returns false if the
 // coordinator stopped while waiting.
@@ -323,7 +290,7 @@ func (c *coordinator) ocWait(p *sim.Proc, cond func() bool) bool {
 		if !p.WaitTimeout(c.ocSig, 10*sim.Millisecond) {
 			// Silence: peers may have died, or their links gone down —
 			// both advance minAcked by exclusion.
-			c.ocCheckLiveness(p)
+			c.s.livenessTick(p.Now())
 			c.ocRelease()
 		}
 	}

@@ -90,6 +90,27 @@ func (s *sender) send(m message) {
 	}
 }
 
+// absorb folds one delivery from the peer's acknowledgement channel
+// into its watermark and reports whether it was an acknowledgement. A
+// dead peer that has now acknowledged everything sent (seq) is
+// resurrected: it provably holds the full stream, so excluding it no
+// longer protects anything.
+func (p *peerState) absorb(raw netsim.Message, seq uint64, stats *Stats) bool {
+	m, ok := raw.Payload.(message)
+	if !ok || m.Kind != msgAck {
+		return false
+	}
+	stats.AcksReceived++
+	if m.AckSeq > p.acked {
+		p.acked = m.AckSeq
+	}
+	if p.dead && p.acked >= seq {
+		p.dead = false
+		p.progressAt = 0
+	}
+	return true
+}
+
 // drainAcks consumes already-delivered acknowledgements from all peers.
 func (s *sender) drainAcks() {
 	for _, p := range s.peers {
@@ -98,19 +119,32 @@ func (s *sender) drainAcks() {
 			if !ok {
 				break
 			}
-			m := raw.Payload.(message)
-			if m.Kind == msgAck {
-				s.stats.AcksReceived++
-				if m.AckSeq > p.acked {
-					p.acked = m.AckSeq
-				}
-				if p.dead && p.acked >= s.seq {
-					// Full catch-up: the peer holds everything sent, so
-					// excluding it no longer protects anything.
-					p.dead = false
-					p.progressAt = 0
-				}
-			}
+			p.absorb(raw, s.seq, s.stats)
+		}
+	}
+}
+
+// livenessTick applies the acknowledgement-liveness timeout from a wait
+// tick at virtual time now: a peer silent for peerTimeout while its
+// channel stays up is declared dead and excluded, so a partitioned peer
+// cannot block the coordinator (or freeze the commit window) forever.
+func (s *sender) livenessTick(now sim.Time) {
+	if s.peerTimeout <= 0 {
+		return
+	}
+	for _, p := range s.peers {
+		if p.excluded() || p.acked >= s.seq {
+			continue
+		}
+		if p.progressAt == 0 || p.acked > p.seenAcked {
+			// First observation, or the peer advanced since the last
+			// tick: restart its silence clock.
+			p.seenAcked, p.progressAt = p.acked, now
+			continue
+		}
+		if now-p.progressAt >= s.peerTimeout {
+			p.dead = true
+			s.stats.PeerTimeouts++
 		}
 	}
 }
@@ -177,33 +211,10 @@ func (s *sender) awaitAcks(stop func() bool) {
 		if !ok {
 			// Re-check liveness and other peers' queues.
 			s.drainAcks()
-			if s.peerTimeout > 0 {
-				now := s.proc.Now()
-				for _, p := range s.peers {
-					if p.excluded() || p.acked >= s.seq {
-						continue
-					}
-					if p.progressAt == 0 || p.acked > p.seenAcked {
-						// First observation, or the peer advanced since
-						// the last tick: restart its silence clock.
-						p.seenAcked, p.progressAt = p.acked, now
-						continue
-					}
-					if now-p.progressAt >= s.peerTimeout {
-						p.dead = true
-						s.stats.PeerTimeouts++
-					}
-				}
-			}
+			s.livenessTick(s.proc.Now())
 			continue
 		}
-		m := raw.Payload.(message)
-		if m.Kind == msgAck {
-			s.stats.AcksReceived++
-			if m.AckSeq > lag.acked {
-				lag.acked = m.AckSeq
-			}
-		}
+		lag.absorb(raw, s.seq, s.stats)
 		s.drainAcks()
 	}
 	s.stats.AckWaitTime += s.proc.Now() - start

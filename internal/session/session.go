@@ -20,7 +20,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/clientsim"
 	"repro/internal/console"
@@ -73,17 +72,6 @@ func sizeMachine(mc machine.Config) machine.Config {
 	return mc
 }
 
-// sharedImageDefault is the package-wide default for COW-shared guest
-// images (see SetSharedImageDefault).
-var sharedImageDefault atomic.Bool
-
-// SetSharedImageDefault sets the package-wide default for backing
-// guest RAM with content-interned copy-on-write base images. Sessions
-// built with Options.SharedImage unset follow the default; it exists
-// so batch drivers (hftbench -cow) can flip whole runs without
-// threading an option through every call site.
-func SetSharedImageDefault(on bool) { sharedImageDefault.Store(on) }
-
 // shareImage attaches a content-interned COW base image, built from
 // the program's boot image, to a machine config. Every machine built
 // from the returned config maps the same immutable frames — as does
@@ -92,7 +80,7 @@ func SetSharedImageDefault(on bool) { sharedImageDefault.Store(on) }
 // image already holds are COW no-ops, so kernel text stays shared; a
 // replica privatizes only the pages it actually dirties.
 func (e *Engine) shareImage(mc machine.Config) machine.Config {
-	if !e.o.SharedImage && !sharedImageDefault.Load() {
+	if !e.o.SharedImage {
 		return mc
 	}
 	origin, words, _ := e.prog.Image()
@@ -244,7 +232,6 @@ type Options struct {
 	// SharedImage backs every machine's RAM with a content-interned
 	// copy-on-write base image built from the Program's boot image
 	// (identical sharing across sessions; see machine.BaseImage).
-	// When unset, the package default applies (SetSharedImageDefault).
 	SharedImage bool
 
 	// OnDivergence, when set, observes backup digest mismatches instead

@@ -30,7 +30,6 @@ type clusterOptions struct {
 
 	detectTimeout Duration
 	backups       int
-	haveBackups   bool
 	failPrimaryAt Duration
 	failBackupAt  map[int]Duration // 1-based backup index -> time
 
@@ -203,7 +202,7 @@ func WithBackups(t int) Option {
 		if t < 1 {
 			return fmt.Errorf("hft: backups must be >= 1 (got %d)", t)
 		}
-		o.backups, o.haveBackups = t, true
+		o.backups = t
 		return nil
 	}
 }

@@ -203,51 +203,67 @@ func (c *Cluster) putConfig(w *snapshot.Writer) {
 	}
 }
 
-// configFrom rebuilds resolved cluster options from a snapshot.
-func configFrom(r *snapshot.Reader) *clusterOptions {
-	o := &clusterOptions{}
-	o.seed = r.I64()
-	o.workload.Kind = r.U32()
-	o.workload.Iters = r.U32()
-	o.workload.Ops = r.U32()
-	o.workload.Seed = r.U32()
-	o.workload.BlockMask = r.U32()
-	o.workload.BlockBase = r.U32()
-	o.workload.Count = r.U32()
-	o.workload.PreOp = r.U32()
-	o.workload.PrivOps = r.U32()
-	o.haveWork = true
-	o.epochLength = r.U64()
-	o.protocol = Protocol(r.U8())
-	o.link = linkParams(r)
-	o.detectTimeout = Duration(r.I64())
-	o.backups = r.Int()
-	o.failPrimaryAt = Duration(r.I64())
+// configFrom decodes a snapshot's configuration into the options a
+// caller would pass to NewCluster, a zero field meaning the option is
+// absent, so a restored configuration passes the same validation
+// (buildOptions) as a new one.
+func configFrom(r *snapshot.Reader) []Option {
+	var opts []Option
+	add := func(present bool, opt Option) {
+		if present {
+			opts = append(opts, opt)
+		}
+	}
+	seed := r.I64()
+	add(seed != 0, WithSeed(seed))
+	wl := Workload{
+		Kind:      r.U32(),
+		Iters:     r.U32(),
+		Ops:       r.U32(),
+		Seed:      r.U32(),
+		BlockMask: r.U32(),
+		BlockBase: r.U32(),
+		Count:     r.U32(),
+		PreOp:     r.U32(),
+		PrivOps:   r.U32(),
+	}
+	add(wl.Kind != 0, WithWorkload(wl))
+	epochLength := r.U64()
+	add(epochLength != 0, WithEpochLength(epochLength))
+	protocol := Protocol(r.U8())
+	add(protocol != 0, WithProtocol(protocol))
+	link := linkParams(r)
+	add(link != LinkParams{}, WithLink(link))
+	detectTimeout := Duration(r.I64())
+	add(detectTimeout != 0, WithDetectTimeout(detectTimeout))
+	backups := r.Int()
+	add(backups != 0, WithBackups(backups))
+	failPrimaryAt := Duration(r.I64())
+	add(failPrimaryAt != 0, WithFailPrimaryAt(failPrimaryAt))
 	n := int(r.U32())
 	for i := 0; i < n && r.Err() == nil; i++ {
-		if o.failBackupAt == nil {
-			o.failBackupAt = map[int]Duration{}
-		}
 		idx := r.Int()
-		o.failBackupAt[idx] = Duration(r.I64())
+		opts = append(opts, WithFailBackupAt(idx, Duration(r.I64())))
 	}
-	o.diskRead = Duration(r.I64())
-	o.diskWrite = Duration(r.I64())
+	diskRead, diskWrite := Duration(r.I64()), Duration(r.I64())
+	add(diskRead != 0 || diskWrite != 0, WithDiskLatency(diskRead, diskWrite))
 	n = int(r.U32())
 	for i := 0; i < n && r.Err() == nil; i++ {
 		var spec DiskSpec
 		spec.ReadLatency = Duration(r.I64())
 		spec.WriteLatency = Duration(r.I64())
-		o.extraDisks = append(o.extraDisks, spec)
+		opts = append(opts, WithDisk(spec))
 	}
+	var script []TerminalInput
 	n = int(r.U32())
 	for i := 0; i < n && r.Err() == nil; i++ {
 		var ev TerminalInput
 		ev.At = Duration(r.I64())
 		ev.Data = r.String()
-		o.terminal = append(o.terminal, ev)
+		script = append(script, ev)
 	}
-	o.nic = r.Bool()
+	add(len(script) > 0, WithTerminal(script...))
+	add(r.Bool(), WithNIC())
 	if r.Bool() {
 		var cl ClientLoad
 		cl.Clients = r.Int()
@@ -255,16 +271,16 @@ func configFrom(r *snapshot.Reader) *clusterOptions {
 		cl.Start = Duration(r.I64())
 		cl.MeanGap = Duration(r.I64())
 		cl.Timeout = Duration(r.I64())
-		o.clientLoad = &cl
+		opts = append(opts, WithClientLoad(cl))
 	}
-	o.sharedImage = r.Bool()
+	add(r.Bool(), WithSharedImage())
 	if r.Bool() {
 		var oc OutputCommit
 		oc.Window = r.Int()
 		oc.Adaptive = r.Bool()
-		o.outputCommit = &oc
+		opts = append(opts, WithOutputCommit(oc))
 	}
-	return o
+	return opts
 }
 
 func putLinkParams(w *snapshot.Writer, p LinkParams) {
@@ -332,8 +348,9 @@ func RestoreWithoutVerify() RestoreOption {
 // section by section, failing loudly on any divergence.
 //
 // Snapshots from a different format version are rejected with an error
-// wrapping ErrSnapshotVersion; structurally invalid data with one
-// wrapping ErrSnapshotCorrupt. The returned cluster is live: it can be
+// wrapping ErrSnapshotVersion; structurally invalid data, or a
+// configuration NewCluster would reject, with one wrapping
+// ErrSnapshotCorrupt. The returned cluster is live: it can be
 // advanced, perturbed, observed and saved again.
 func Restore(r io.Reader, opts ...RestoreOption) (*Cluster, error) {
 	ro := restoreOptions{verify: true}
@@ -354,7 +371,7 @@ func Restore(r io.Reader, opts ...RestoreOption) (*Cluster, error) {
 		return nil, fmt.Errorf("hft: Restore: %w", err)
 	}
 
-	o := configFrom(sr)
+	cfg := configFrom(sr)
 	nj := int(sr.U32())
 	var journal []journalEntry
 	for i := 0; i < nj && sr.Err() == nil; i++ {
@@ -377,6 +394,10 @@ func Restore(r io.Reader, opts ...RestoreOption) (*Cluster, error) {
 	}
 	if err := sr.Err(); err != nil {
 		return nil, fmt.Errorf("hft: Restore: %w", err)
+	}
+	o, err := buildOptions(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("hft: Restore: %w: %w", ErrSnapshotCorrupt, err)
 	}
 
 	c := newCluster(o)

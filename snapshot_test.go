@@ -8,6 +8,7 @@ package hft
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"hash/fnv"
 	"strings"
@@ -235,6 +236,25 @@ func TestRestoreCorrupt(t *testing.T) {
 	}
 	if _, err := Restore(bytes.NewReader(blob[:16])); !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("restore of truncated snapshot: got %v, want ErrSnapshotCorrupt", err)
+	}
+}
+
+// TestRestoreValidatesConfig pins that a restored configuration passes
+// the same validation as NewCluster's: an out-of-range epoch length,
+// resealed so the checksum gate passes, is rejected as corrupt instead
+// of crashing the engine.
+func TestRestoreValidatesConfig(t *testing.T) {
+	blob := saveBlob(t)
+	// The epoch length follows the 8-byte magic, the version word, the
+	// seed and the nine workload words.
+	const off = 8 + 4 + 8 + 9*4
+	if el := binary.LittleEndian.Uint64(blob[off:]); el != 4096 {
+		t.Fatalf("epoch-length field reads %d, want the default 4096", el)
+	}
+	binary.LittleEndian.PutUint64(blob[off:], 1<<40)
+	_, err := Restore(bytes.NewReader(reseal(blob)))
+	if !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("restore of out-of-range epoch length: got %v, want ErrSnapshotCorrupt", err)
 	}
 }
 
