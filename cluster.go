@@ -78,7 +78,6 @@ func newCluster(o *clusterOptions) *Cluster {
 		FailBackupAt:  o.failBackupTimes(),
 		Observer:      c.publish,
 		DiskEvents:    true,
-		SharedImage:   o.sharedImage,
 		OutputCommit:  o.outputCommitConfig(),
 	})
 	return c

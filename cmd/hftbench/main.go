@@ -112,7 +112,7 @@ type jsonFleet struct {
 	InstrPerSec   float64 `json:"instr_per_sec"`
 	CommitsPerSec float64 `json:"commits_per_sec"`
 	// AllocPerShardBytes is heap allocation churn per shard — the
-	// COW-sharing figure of merit (a private guest RAM is 1 MiB+).
+	// COW-sharing figure of merit (a full guest RAM copy is 1 MiB+).
 	AllocPerShardBytes uint64 `json:"alloc_per_shard_bytes"`
 }
 

@@ -8,13 +8,12 @@ import (
 	"repro/internal/session"
 )
 
-// TestHostLayersInvisible pins that superblock trace dispatch and
-// COW-shared guest images are pure host-side layers: every §4 workload,
-// bare, replicated under both protocols and under output commit, gives
-// the same completion time, guest result, console transcript and
-// protocol and hypervisor statistics with traces off
-// (Machine.NoTraces) and on a shared image (SharedImage) as with the
-// default configuration.
+// TestHostLayersInvisible pins that superblock trace dispatch is a pure
+// host-side layer: every §4 workload, bare, replicated under both
+// protocols and under output commit, gives the same completion time,
+// guest result, console transcript and protocol and hypervisor
+// statistics with traces off (Machine.NoTraces) as with the default
+// configuration.
 func TestHostLayersInvisible(t *testing.T) {
 	scale := QuickScale()
 	run := func(o session.Options) RunResult {
@@ -41,12 +40,8 @@ func TestHostLayersInvisible(t *testing.T) {
 
 			noTraces := base
 			noTraces.Machine.NoTraces = true
-			shared := base
-			shared.SharedImage = true
-			for name, o := range map[string]session.Options{"NoTraces": noTraces, "SharedImage": shared} {
-				if got := run(o); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%s with %s differs from the default:\ngot  %+v\nwant %+v", wl, mode.name, name, got, want)
-				}
+			if got := run(noTraces); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s with NoTraces differs from the default:\ngot  %+v\nwant %+v", wl, mode.name, got, want)
 			}
 		}
 	}

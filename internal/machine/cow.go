@@ -2,36 +2,34 @@ package machine
 
 // Copy-on-write guest RAM. A fleet of machines booting the same kernel
 // image should pay for that image once, not once per machine: RAM is
-// page-granular, every page frame is a pointer, and a machine built
-// over a BaseImage starts with every frame pointing into the shared,
-// immutable image. The first store that CHANGES a page's contents
+// page-granular, every page frame is a pointer, and every machine
+// starts with every frame pointing into a shared, immutable BaseImage.
+// An image covers a prefix of RAM; every frame past it — and every
+// frame of a machine built with no image — points at one shared
+// all-zero frame. The first store that CHANGES a page's contents
 // faults the page — copies the frame private and flips its ownership
-// bit — after which the page behaves exactly like private RAM. A store
-// that writes back the bytes already present is a no-op: page contents
-// are unchanged, so nothing observable (decoded pages, traces, digests)
+// bit — after which the page is writable in place. A store that writes
+// back the bytes already present is a no-op: page contents are
+// unchanged, so nothing observable (decoded pages, traces, digests)
 // can depend on it. That rule is what lets the boot loader replay the
 // kernel image over a shared base without faulting a single page.
 //
 // Frames are interned by content across all base images (64-bit FNV-1a
 // hash, full compare on collision), so a thousand shards booting the
-// same kernel share one copy of each page — and all-zero data pages
-// collapse to a single frame fleet-wide. Each shared frame also carries
-// a lazily built, immutable decoded image of its instruction slots (the
-// shared decoded-page cache): when a machine first executes an unfaulted
-// shared page, its private decodedPage is seeded by copying the shared
-// decode instead of re-decoding word by word. The copy is semantically
-// identical to what lazy fill() would build — same insts, words, priv
-// and resync bits — except that every decodable slot is valid up front;
-// extra valid bits only skip fill calls that would have produced the
-// same entries. Superblock traces stay per-machine: they are built in
-// the machine's own decodedPage and never shared.
-//
-// Machines with private RAM allocate one flat buffer and point every
-// frame into it with all ownership bits set, which reduces every path
-// below to the pre-COW behaviour byte for byte.
+// same kernel share one copy of each page — and all-zero pages map to
+// the single zero frame without being hashed. Each shared frame also
+// carries a lazily built, immutable decoded image of its instruction
+// slots (the shared decoded-page cache): when a machine first executes
+// an unfaulted shared page, its private decodedPage is seeded by
+// copying the shared decode instead of re-decoding word by word. The
+// copy is semantically identical to what lazy fill() would build —
+// same insts, words, priv and resync bits — except that every
+// decodable slot is valid up front; extra valid bits only skip fill
+// calls that would have produced the same entries. Superblock traces
+// stay per-machine: they are built in the machine's own decodedPage
+// and never shared.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"sync"
 
@@ -103,16 +101,30 @@ func (d *sharedDecode) copyInto(pg *decodedPage) {
 }
 
 // BaseImage is an immutable guest RAM image shared read-only by any
-// number of machines (Config.Image). Size need not be page-aligned;
-// the last frame is zero-padded.
+// number of machines (Config.Image). It covers a prefix of RAM: Size
+// need not be page-aligned (the last frame is zero-padded), and RAM
+// past it reads as zero.
 type BaseImage struct {
 	size   uint32
 	frames []*sharedFrame
 }
 
-// Size returns the image size in bytes (the RAM size of machines built
-// over it).
+// Size returns the image size in bytes (the default RAM size of
+// machines built over it).
 func (img *BaseImage) Size() uint32 { return img.size }
+
+// zeroFrame is the shared all-zero frame: every page past an image's
+// extent, and every page of a machine with no image, starts on it.
+var zeroFrame = &sharedFrame{}
+
+// frame returns the shared frame backing page idx: the image's own
+// frame within its extent, the zero frame past it (or with no image).
+func (img *BaseImage) frame(idx uint32) *sharedFrame {
+	if img != nil && int(idx) < len(img.frames) {
+		return img.frames[idx]
+	}
+	return zeroFrame
+}
 
 // frameIntern deduplicates frames by content across all base images.
 var frameIntern struct {
@@ -125,6 +137,9 @@ var frameIntern struct {
 func internFrame(data []byte) *sharedFrame {
 	var page ramPage
 	copy(page[:], data)
+	if page == zeroFrame.data {
+		return zeroFrame
+	}
 	h := fnv64a(page[:])
 	frameIntern.Lock()
 	defer frameIntern.Unlock()
@@ -141,8 +156,8 @@ func internFrame(data []byte) *sharedFrame {
 	return f
 }
 
-// fnv64a is the 64-bit FNV-1a hash (content key for frame and image
-// interning; only equality after a full compare is ever trusted).
+// fnv64a is the 64-bit FNV-1a hash (content key for frame interning;
+// only equality after a full compare is ever trusted).
 func fnv64a(b []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, c := range b {
@@ -152,8 +167,10 @@ func fnv64a(b []byte) uint64 {
 	return h
 }
 
-// NewBaseImage interns a flat RAM image into shared frames.
-func NewBaseImage(mem []byte) *BaseImage {
+// InternImage builds a base image over a flat RAM prefix, interning
+// each page: images holding the same bytes share every frame and its
+// decode, so the image itself is only a table of pointers.
+func InternImage(mem []byte) *BaseImage {
 	npages := (len(mem) + isa.PageSize - 1) >> isa.PageShift
 	img := &BaseImage{size: uint32(len(mem)), frames: make([]*sharedFrame, npages)}
 	for i := 0; i < npages; i++ {
@@ -165,49 +182,6 @@ func NewBaseImage(mem []byte) *BaseImage {
 		img.frames[i] = internFrame(mem[lo:hi])
 	}
 	return img
-}
-
-// imageIntern caches whole base images by content, so every session
-// booting the same kernel at the same RAM size resolves to one
-// BaseImage (and one shared decode) process-wide.
-var imageIntern struct {
-	sync.Mutex
-	byHash map[uint64][]*BaseImage
-}
-
-// InternImage returns the canonical BaseImage for a flat RAM image,
-// building and caching it on first sight. Images live for the process:
-// the set of distinct kernel images is small and shared by design.
-func InternImage(mem []byte) *BaseImage {
-	h := fnv64a(mem)
-	imageIntern.Lock()
-	defer imageIntern.Unlock()
-	if imageIntern.byHash == nil {
-		imageIntern.byHash = make(map[uint64][]*BaseImage)
-	}
-	for _, img := range imageIntern.byHash[h] {
-		if img.size == uint32(len(mem)) && img.equalsFlat(mem) {
-			return img
-		}
-	}
-	img := NewBaseImage(mem)
-	imageIntern.byHash[h] = append(imageIntern.byHash[h], img)
-	return img
-}
-
-// equalsFlat reports whether the image's contents equal a flat buffer.
-func (img *BaseImage) equalsFlat(mem []byte) bool {
-	for i, f := range img.frames {
-		lo := i << isa.PageShift
-		hi := lo + isa.PageSize
-		if hi > len(mem) {
-			hi = len(mem)
-		}
-		if !bytes.Equal(f.data[:hi-lo], mem[lo:hi]) {
-			return false
-		}
-	}
-	return true
 }
 
 // ownedPage reports whether physical page idx is private to this
@@ -231,13 +205,10 @@ func (m *Machine) faultPage(idx uint32) *ramPage {
 	return priv
 }
 
-// SharedPages returns the number of RAM pages still backed by the
-// shared base image (zero for machines with private RAM). Tests and
-// fleet metrics use it to verify sharing.
+// SharedPages returns the number of RAM pages still backed by a shared
+// frame (the base image's or the zero frame). Tests and fleet metrics
+// use it to verify sharing.
 func (m *Machine) SharedPages() int {
-	if m.img == nil {
-		return 0
-	}
 	n := 0
 	for i := range m.frames {
 		if !m.ownedPage(uint32(i)) {

@@ -1,9 +1,10 @@
 // COW base-image tests: shards sharing one immutable image must be
-// perfectly isolated (differential against private RAM, including
-// self-modifying code that forces decode invalidation across the COW
-// fault), snapshots must round-trip across the sharing boundary, and a
-// thousand shards must cost a small fraction of a private RAM copy
-// each.
+// perfectly isolated (differential against a machine with no image that
+// loads the program itself, so every kernel page is faulted private,
+// and against pinned digests, including self-modifying code that forces
+// decode invalidation across the COW fault), snapshots must round-trip
+// across the sharing boundary, and a thousand shards must cost a small
+// fraction of a full RAM copy each.
 package machine_test
 
 import (
@@ -62,18 +63,19 @@ func cowWord(t *testing.T, src string) uint32 {
 	return p.Words[0]
 }
 
-// imageFor builds (and interns) a base image holding the program in a
-// memBytes-sized RAM.
-func imageFor(p *asm.Program, memBytes uint32) *machine.BaseImage {
-	flat := make([]byte, memBytes)
+// imageFor builds (and interns) a base image holding the program: it
+// covers the program's extent only, RAM past it reads as zero.
+func imageFor(p *asm.Program) *machine.BaseImage {
+	flat := make([]byte, p.Origin+uint32(4*len(p.Words)))
 	for i, w := range p.Words {
 		binary.LittleEndian.PutUint32(flat[p.Origin+uint32(4*i):], w)
 	}
 	return machine.InternImage(flat)
 }
 
-// boot creates a machine for the program — COW-backed when img is
-// non-nil, private otherwise — and loads/starts the program.
+// bootCOW creates a memBytes machine over img (nil: all-zero RAM, so
+// loading faults every program page private) and loads/starts the
+// program.
 func bootCOW(p *asm.Program, img *machine.BaseImage, memBytes uint32) *machine.Machine {
 	m := machine.New(machine.Config{Image: img, MemBytes: memBytes})
 	m.LoadProgram(p.Origin, p.Words, p.Origin)
@@ -99,38 +101,47 @@ func runToHalt(t *testing.T, m *machine.Machine, max uint64) {
 }
 
 // TestCOWIsolationDifferential runs two shards off ONE base image with
-// divergent self-modifying workloads, alongside a private-RAM control
-// for each: every shard's final memory digest must be byte-identical
-// to its control's, the shards must actually have diverged from each
-// other, and the base image must come out untouched.
+// divergent self-modifying workloads, alongside a control for each
+// built with no image: every shard's final state and memory digests
+// must be byte-identical to its control's and to the values private
+// flat RAM produced before COW became the only backing, the shards
+// must actually have diverged from each other, and the base image must
+// come out untouched.
 func TestCOWIsolationDifferential(t *testing.T) {
 	p := smcProgram(t)
 	const mem = 1 << 20
-	img := imageFor(p, mem)
+	img := imageFor(p)
 	pristine := bootCOW(p, img, mem).DigestMemory()
 
 	type shard struct {
-		iters uint32
-		cow   *machine.Machine
-		priv  *machine.Machine
+		iters        uint32
+		digest, dmem uint64 // pinned from the private-RAM control
+		cow          *machine.Machine
+		ctl          *machine.Machine
 	}
-	shards := []shard{{iters: 40}, {iters: 173}}
+	shards := []shard{
+		{iters: 40, digest: 0xc294ef680892daec, dmem: 0x50193c473f27c48f},
+		{iters: 173, digest: 0xef3e320429920011, dmem: 0x16e1bb8f3f4aaa97},
+	}
 	for i := range shards {
 		s := &shards[i]
 		s.cow = bootCOW(p, img, mem)
-		s.priv = bootCOW(p, nil, mem)
+		s.ctl = bootCOW(p, nil, mem)
 		configureShard(s.cow, s.iters)
-		configureShard(s.priv, s.iters)
+		configureShard(s.ctl, s.iters)
 	}
 	for i := range shards {
 		s := &shards[i]
 		runToHalt(t, s.cow, 4_000_000)
-		runToHalt(t, s.priv, 4_000_000)
-		if got, want := s.cow.DigestMemory(), s.priv.DigestMemory(); got != want {
-			t.Fatalf("shard %d: COW memory digest %#x, private control %#x", i, got, want)
+		runToHalt(t, s.ctl, 4_000_000)
+		if got, want := s.cow.DigestMemory(), s.ctl.DigestMemory(); got != want {
+			t.Fatalf("shard %d: COW memory digest %#x, no-image control %#x", i, got, want)
 		}
-		if s.cow.Digest() != s.priv.Digest() {
-			t.Fatalf("shard %d: full state digest diverges from private control", i)
+		if s.cow.Digest() != s.ctl.Digest() {
+			t.Fatalf("shard %d: full state digest diverges from no-image control", i)
+		}
+		if got, got2 := s.cow.Digest(), s.cow.DigestMemory(); got != s.digest || got2 != s.dmem {
+			t.Fatalf("shard %d: digests %#x/%#x, pinned %#x/%#x", i, got, got2, s.digest, s.dmem)
 		}
 		if s.cow.SharedPages() == 0 {
 			t.Fatalf("shard %d: no pages left shared — COW never engaged", i)
@@ -148,12 +159,14 @@ func TestCOWIsolationDifferential(t *testing.T) {
 
 // TestCOWSnapshotRoundTrip captures a COW-backed machine mid-run
 // (pages split between shared and privatized) and restores it onto a
-// fresh COW machine AND onto a private machine: both must match the
-// source byte-for-byte, now and at halt.
+// fresh COW machine AND onto a machine with no image: both must match
+// the source byte-for-byte, now and at halt, and the halt digests must
+// equal the values private flat RAM produced.
 func TestCOWSnapshotRoundTrip(t *testing.T) {
 	p := smcProgram(t)
 	const mem = 1 << 20
-	img := imageFor(p, mem)
+	const haltDigest, haltDigestMemory = 0xc294ef680892daec, 0x6db96b1bd6422b2f
+	img := imageFor(p)
 
 	src := bootCOW(p, img, mem)
 	configureShard(src, 200)
@@ -169,11 +182,11 @@ func TestCOWSnapshotRoundTrip(t *testing.T) {
 	if err := cow.RestoreState(st); err != nil {
 		t.Fatalf("restore onto COW machine: %v", err)
 	}
-	priv := bootCOW(p, nil, mem)
-	if err := priv.RestoreState(st); err != nil {
-		t.Fatalf("restore onto private machine: %v", err)
+	ctl := bootCOW(p, nil, mem)
+	if err := ctl.RestoreState(st); err != nil {
+		t.Fatalf("restore onto no-image machine: %v", err)
 	}
-	for name, m := range map[string]*machine.Machine{"cow": cow, "private": priv} {
+	for name, m := range map[string]*machine.Machine{"cow": cow, "no-image": ctl} {
 		if m.Digest() != src.Digest() || m.DigestMemory() != src.DigestMemory() {
 			t.Fatalf("restored %s machine differs from source before resuming", name)
 		}
@@ -186,30 +199,33 @@ func TestCOWSnapshotRoundTrip(t *testing.T) {
 	for !src.Halted() {
 		src.Step()
 		cow.Step()
-		priv.Step()
-		if src.Digest() != cow.Digest() || src.Digest() != priv.Digest() {
+		ctl.Step()
+		if src.Digest() != cow.Digest() || src.Digest() != ctl.Digest() {
 			t.Fatalf("digests diverge at cycle %d", src.Cycles())
 		}
 	}
-	if !cow.Halted() || !priv.Halted() {
+	if !cow.Halted() || !ctl.Halted() {
 		t.Fatal("restored machines did not halt with the source")
 	}
-	if src.DigestMemory() != cow.DigestMemory() || src.DigestMemory() != priv.DigestMemory() {
+	if src.DigestMemory() != cow.DigestMemory() || src.DigestMemory() != ctl.DigestMemory() {
 		t.Fatal("final memory digests diverge")
+	}
+	if src.Digest() != haltDigest || src.DigestMemory() != haltDigestMemory {
+		t.Fatalf("halt digests %#x/%#x, pinned %#x/%#x", src.Digest(), src.DigestMemory(), uint64(haltDigest), uint64(haltDigestMemory))
 	}
 }
 
 // TestThousandSharedMachines is the fleet-scale acceptance check: 1000
-// machines boot off one 8 MiB base image, each costing a small
-// fraction of a private RAM copy, all byte-identical to a private
-// control.
+// 8 MiB machines boot off one base image, each costing a small
+// fraction of a full RAM copy, all byte-identical to a control built
+// with no image.
 func TestThousandSharedMachines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1000-machine boot is not -short material")
 	}
 	p := smcProgram(t)
 	const mem = 8 << 20
-	img := imageFor(p, mem)
+	img := imageFor(p)
 	control := bootCOW(p, nil, mem)
 	want := control.DigestMemory()
 
@@ -227,17 +243,17 @@ func TestThousandSharedMachines(t *testing.T) {
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
 	perShard := (after.HeapAlloc - before.HeapAlloc) / n
-	// A private copy is 8 MiB of RAM alone; shared shards carry only
-	// page tables and the machine struct. Allow 1/8 of private as a
-	// generous ceiling (observed ~tens of KiB).
+	// A full copy is 8 MiB of RAM alone; shared shards carry only page
+	// tables and the machine struct. Allow 1/8 of a copy as a generous
+	// ceiling (observed ~tens of KiB).
 	if perShard > mem/8 {
-		t.Fatalf("per-shard heap %d bytes — not a small fraction of the %d-byte private copy", perShard, mem)
+		t.Fatalf("per-shard heap %d bytes — not a small fraction of the %d-byte RAM copy", perShard, mem)
 	}
-	t.Logf("heap per shard: %d bytes (private copy: %d)", perShard, mem)
+	t.Logf("heap per shard: %d bytes (full copy: %d)", perShard, mem)
 
 	for _, i := range []int{0, 1, n / 2, n - 1} {
 		if got := ms[i].DigestMemory(); got != want {
-			t.Fatalf("shard %d boots with digest %#x, private control %#x", i, got, want)
+			t.Fatalf("shard %d boots with digest %#x, no-image control %#x", i, got, want)
 		}
 	}
 	// Dirtying one shard must not leak into its neighbors or the image.

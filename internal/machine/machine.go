@@ -65,10 +65,11 @@ type Config struct {
 	// a pure execution-speed layer); the switch exists for A/B
 	// measurement and differential testing.
 	NoTraces bool
-	// Image, when set, backs RAM with a shared immutable base image:
-	// pages are copy-on-write faulted on the first differing store (see
-	// cow.go). MemBytes must be zero or equal to Image.Size().
-	// Architected behaviour is identical to a private copy of the image.
+	// Image is the shared immutable base image RAM starts as; it covers
+	// a prefix of RAM, and nil means all-zero RAM. Pages are
+	// copy-on-write faulted on the first differing store (see cow.go).
+	// MemBytes must be zero (defaulting to Image.Size()) or at least
+	// Image.Size().
 	Image *BaseImage
 }
 
@@ -141,18 +142,15 @@ type Machine struct {
 	PSW  uint32
 	CRs  [isa.NumCRs]uint32
 
-	// frames maps each physical page number to its backing frame. With
-	// private RAM every frame points into flat; over a base image
-	// (cfg.Image) frames start out pointing at the shared immutable
-	// image and are copied private on the first differing store
-	// (copy-on-write, see cow.go).
+	// frames maps each physical page number to its backing frame.
+	// Frames start out pointing at the shared immutable base image (or
+	// the zero frame past it) and are copied private on the first
+	// differing store (copy-on-write, see cow.go).
 	frames []*ramPage
 	// owned marks, one bit per page, frames private to this machine and
 	// therefore writable in place.
 	owned []uint64
-	// flat is the private contiguous RAM buffer (nil over a base image).
-	flat []byte
-	// img is the shared base image (nil for private RAM).
+	// img is the shared base image (nil: all-zero RAM).
 	img *BaseImage
 	// memSize is the physical RAM size in bytes.
 	memSize uint32
@@ -247,24 +245,13 @@ func New(cfg Config) *Machine {
 	}
 	m.frames = grabFrames(npages)
 	m.owned = grabOwned((npages + 63) / 64)
-	if cfg.Image != nil {
-		if cfg.Image.Size() != cfg.MemBytes {
-			panic(fmt.Sprintf("machine: base image is %d bytes, config wants %d", cfg.Image.Size(), cfg.MemBytes))
-		}
-		// COW RAM: all frames shared, no ownership bits set.
-		m.img = cfg.Image
-		for i := range m.frames {
-			m.frames[i] = &cfg.Image.frames[i].data
-		}
-	} else {
-		// Private RAM: one flat buffer, every page owned up front.
-		m.flat = grabMem(npages << isa.PageShift)
-		for i := range m.frames {
-			m.frames[i] = (*ramPage)(m.flat[i<<isa.PageShift:])
-		}
-		for i := range m.owned {
-			m.owned[i] = ^uint64(0)
-		}
+	if cfg.Image != nil && cfg.Image.Size() > cfg.MemBytes {
+		panic(fmt.Sprintf("machine: base image is %d bytes, config wants %d", cfg.Image.Size(), cfg.MemBytes))
+	}
+	// All frames shared, no ownership bits set.
+	m.img = cfg.Image
+	for i := range m.frames {
+		m.frames[i] = &m.img.frame(uint32(i)).data
 	}
 	m.CRs[isa.CRCPUID] = cfg.CPUID
 	return m
@@ -534,10 +521,9 @@ func (m *Machine) ReadBytes(pa uint32, n int) []byte {
 }
 
 // WriteBytes copies data into physical RAM at pa (for DMA and loading),
-// page-wise. Owned pages take the pre-COW path (invalidate the page's
-// decoded image, copy); shared pages whose covered bytes already equal
-// the data stay shared and untouched, and are otherwise COW-faulted
-// first.
+// page-wise. Owned pages invalidate the page's decoded image and copy;
+// shared pages whose covered bytes already equal the data stay shared
+// and untouched, and are otherwise COW-faulted first.
 func (m *Machine) WriteBytes(pa uint32, data []byte) {
 	if int64(pa)+int64(len(data)) > int64(m.memSize) {
 		panic(fmt.Sprintf("machine: WriteBytes(%#x, %d): out of range", pa, len(data)))

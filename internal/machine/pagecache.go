@@ -59,18 +59,17 @@ type decodedPage struct {
 
 // execPage returns (allocating on first use) the decoded image of the
 // plain-RAM page starting at physical address base. A page still
-// backed by the shared base image is seeded from the image's shared
-// decode — identical kernel pages decode once fleet-wide — instead of
-// filling slot by slot; once the page COW-faults, ordinary store
-// invalidation and lazy fill keep the (now private) decoded image
-// coherent exactly as for private RAM.
+// backed by a shared frame is seeded from that frame's shared decode —
+// identical kernel pages decode once fleet-wide — instead of filling
+// slot by slot; once the page COW-faults, ordinary store invalidation
+// and lazy fill keep the (now private) decoded image coherent.
 func (m *Machine) execPage(base uint32) *decodedPage {
 	idx := base >> isa.PageShift
 	pg := m.pages[idx]
 	if pg == nil {
 		pg = grabPage()
-		if m.img != nil && !m.ownedPage(idx) {
-			m.img.frames[idx].decoded().copyInto(pg)
+		if !m.ownedPage(idx) {
+			m.img.frame(idx).decoded().copyInto(pg)
 		}
 		m.pages[idx] = pg
 	}

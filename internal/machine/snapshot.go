@@ -85,9 +85,8 @@ func (m *Machine) CaptureState() State {
 		Stats:    m.Stats,
 		Mem:      make([]byte, m.memSize),
 	}
-	// Materialize RAM page-wise: COW-shared frames copy out the same
-	// bytes a private machine would hold, so a capture is identical
-	// regardless of backing.
+	// Materialize RAM page-wise: shared and private frames alike copy
+	// out the bytes the machine holds.
 	for i, fr := range m.frames {
 		base := uint32(i) << isa.PageShift
 		n := m.memSize - base
@@ -124,10 +123,11 @@ func (m *Machine) RestoreState(s State) error {
 	m.halted = s.Halted
 	m.cycles = s.Cycles
 	m.Stats = s.Stats
-	// Restore RAM page-wise. Over a base image, pages whose restored
-	// contents equal the shared frame stay (or become again) shared —
-	// restoring a capture of a lightly diverged machine re-deduplicates
-	// it — and only differing pages hold (or fault) a private frame.
+	// Restore RAM page-wise. Pages whose restored contents equal the
+	// shared frame (the base image's, or the zero frame past it) stay
+	// (or become again) shared — restoring a capture of a lightly
+	// diverged machine re-deduplicates it — and only differing pages
+	// hold (or fault) a private frame.
 	for i := range m.frames {
 		idx := uint32(i)
 		base := idx << isa.PageShift
@@ -136,18 +136,16 @@ func (m *Machine) RestoreState(s State) error {
 			n = isa.PageSize
 		}
 		src := s.Mem[base : base+n]
-		if m.img != nil {
-			shared := &m.img.frames[i].data
-			if bytes.Equal(src, shared[:n]) {
-				if m.ownedPage(idx) {
-					framePool.Put(m.frames[i])
-					m.frames[i] = shared
-					m.owned[idx>>6] &^= 1 << (idx & 63)
-				}
-				continue
+		shared := &m.img.frame(idx).data
+		if bytes.Equal(src, shared[:n]) {
+			if m.ownedPage(idx) {
+				framePool.Put(m.frames[i])
+				m.frames[i] = shared
+				m.owned[idx>>6] &^= 1 << (idx & 63)
 			}
-			m.faultPage(idx)
+			continue
 		}
+		m.faultPage(idx)
 		copy(m.frames[i][:n], src)
 	}
 	// The decoded-page cache is derived from RAM: drop it wholesale so

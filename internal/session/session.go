@@ -73,21 +73,20 @@ func sizeMachine(mc machine.Config) machine.Config {
 }
 
 // shareImage attaches a content-interned COW base image, built from
-// the program's boot image, to a machine config. Every machine built
-// from the returned config maps the same immutable frames — as does
-// every other session booting the same program at the same RAM size,
-// fleet-wide, through the intern table. Boot-time stores of bytes the
+// the program's boot image, to a machine config. The image covers only
+// the boot image's extent; RAM past it starts on the shared zero frame.
+// Every machine built from the returned config maps the same immutable
+// frames — as does every other session booting the same program,
+// fleet-wide, through frame interning. Boot-time stores of bytes the
 // image already holds are COW no-ops, so kernel text stays shared; a
 // replica privatizes only the pages it actually dirties.
 func (e *Engine) shareImage(mc machine.Config) machine.Config {
-	if !e.o.SharedImage {
-		return mc
-	}
 	origin, words, _ := e.prog.Image()
-	if uint64(origin)+4*uint64(len(words)) > uint64(mc.MemBytes) {
+	end := uint64(origin) + 4*uint64(len(words))
+	if end > uint64(mc.MemBytes) {
 		return mc // image exceeds RAM; boot will report it as ever
 	}
-	flat := make([]byte, mc.MemBytes)
+	flat := make([]byte, end)
 	for i, w := range words {
 		binary.LittleEndian.PutUint32(flat[int(origin)+4*i:], w)
 	}
@@ -229,10 +228,6 @@ type Options struct {
 
 	Machine       machine.Config
 	NoTLBTakeover bool
-	// SharedImage backs every machine's RAM with a content-interned
-	// copy-on-write base image built from the Program's boot image
-	// (identical sharing across sessions; see machine.BaseImage).
-	SharedImage bool
 
 	// OnDivergence, when set, observes backup digest mismatches instead
 	// of panicking.

@@ -41,7 +41,6 @@ type clusterOptions struct {
 	nic        bool
 	clientLoad *ClientLoad
 
-	sharedImage  bool
 	outputCommit *OutputCommit
 }
 
@@ -416,19 +415,13 @@ func WithOutputCommit(oc OutputCommit) Option {
 	}
 }
 
-// WithSharedImage backs every replica's guest RAM with a
-// content-interned, copy-on-write base image built from the guest boot
-// image. All machines in the cluster — and across every cluster that
-// boots the same program at the same RAM size, fleet-wide — map the
-// same immutable frames; a replica privatizes a page only on its first
-// differing store. Timing, results and memory digests are unchanged:
-// sharing is a memory-footprint optimization for running thousands of
-// clusters in one process (see internal/fleet).
+// WithSharedImage has no effect.
+//
+// Deprecated: copy-on-write frames over a content-interned base image
+// built from the guest boot image are the only RAM backing; every
+// cluster already shares them (see internal/fleet).
 func WithSharedImage() Option {
-	return func(o *clusterOptions) error {
-		o.sharedImage = true
-		return nil
-	}
+	return func(*clusterOptions) error { return nil }
 }
 
 // WithClientLoad drives a simulated client population into the

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"repro/internal/session"
 	"repro/internal/sim"
@@ -195,7 +196,7 @@ func (c *Cluster) putConfig(w *snapshot.Writer) {
 		w.I64(int64(cl.MeanGap))
 		w.I64(int64(cl.Timeout))
 	}
-	w.Bool(o.sharedImage)
+	w.Bool(false) // formerly the shared-image flag; COW is the only backing
 	w.Bool(o.outputCommit != nil)
 	if o.outputCommit != nil {
 		w.Int(o.outputCommit.Window)
@@ -273,7 +274,7 @@ func configFrom(r *snapshot.Reader) []Option {
 		cl.Timeout = Duration(r.I64())
 		opts = append(opts, WithClientLoad(cl))
 	}
-	add(r.Bool(), WithSharedImage())
+	r.Bool() // formerly the shared-image flag, ignored
 	if r.Bool() {
 		var oc OutputCommit
 		oc.Window = r.Int()
@@ -399,6 +400,13 @@ func Restore(r io.Reader, opts ...RestoreOption) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hft: Restore: %w: %w", ErrSnapshotCorrupt, err)
 	}
+	// Every node ever booted leaves a machine section, so the primary
+	// and the configured backups need at least backups+1 of them; a
+	// larger count is a hostile field, rejected before any replica is
+	// built.
+	if n := machineSections(want); o.backups > n-1 {
+		return nil, fmt.Errorf("hft: Restore: %w: %d backups but %d machine sections", ErrSnapshotCorrupt, o.backups, n)
+	}
 
 	c := newCluster(o)
 	c.journal = journal
@@ -426,6 +434,17 @@ func Restore(r io.Reader, opts ...RestoreOption) (*Cluster, error) {
 		}
 	}
 	return c, nil
+}
+
+// machineSections counts a checkpoint's nodeN.machine sections.
+func machineSections(secs []session.Section) int {
+	n := 0
+	for _, s := range secs {
+		if strings.HasPrefix(s.Name, "node") && strings.HasSuffix(s.Name, ".machine") {
+			n++
+		}
+	}
+	return n
 }
 
 // replayTo advances the restored session to a recorded pause position.

@@ -1,9 +1,8 @@
 package hft
 
-// Differential tests for WithSharedImage: a cluster whose replicas run
-// on the content-interned copy-on-write base image must be observably
-// indistinguishable — results, snapshots, checkpoints, reintegration
-// transfers — from one with private RAM per machine.
+// Tests for the deprecated WithSharedImage: copy-on-write frames are
+// the only RAM backing, so the option must leave results, snapshots,
+// checkpoints and reintegration transfers untouched.
 
 import (
 	"bytes"
@@ -11,37 +10,11 @@ import (
 	"testing"
 )
 
-// TestSharedImageRunDifferential runs the same perturbed workload with
-// and without the shared base image and requires identical terminal
-// results and snapshots — including across a mid-run failover.
-func TestSharedImageRunDifferential(t *testing.T) {
-	mk := func(shared bool) *Cluster {
-		opts := []Option{
-			WithWorkload(DiskWrite(4, 8192)),
-			WithProtocol(ProtocolNew),
-			WithFailPrimaryAt(8 * Millisecond),
-		}
-		if shared {
-			opts = append(opts, WithSharedImage())
-		}
-		c, err := NewCluster(opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	a, b := mk(true), mk(false)
-	defer a.Close()
-	defer b.Close()
-	finishAndCompare(t, "shared-vs-private", a, b)
-}
-
 // TestSharedImageSaveRestoreAddBackup exercises the checkpoint and
 // reintegration paths over COW RAM: Save/Restore round-trips
-// byte-for-byte (the restored cluster is COW-backed too — the option
-// rides in the checkpoint config), an AddBackup state transfer from a
-// COW-backed coordinator reintegrates cleanly, and the whole sequence
-// ends bit-identical to the private-RAM control.
+// byte-for-byte, an AddBackup state transfer from a COW-backed
+// coordinator reintegrates cleanly, and clusters built with and without
+// WithSharedImage write byte-identical checkpoints and end identically.
 func TestSharedImageSaveRestoreAddBackup(t *testing.T) {
 	drive := func(shared bool) (*Cluster, []byte) {
 		opts := []Option{
@@ -93,32 +66,21 @@ func TestSharedImageSaveRestoreAddBackup(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 
-	// The two checkpoints differ exactly in the serialized sharedImage
-	// config bit (plus the blob checksum it perturbs), nowhere else —
-	// in particular every captured machine image is byte-identical
-	// across the two backings.
-	if len(saveA) != len(saveB) {
-		t.Fatalf("checkpoint sizes differ: shared %d bytes, private %d", len(saveA), len(saveB))
-	}
-	diff := 0
-	for i := range saveA[:len(saveA)-8] { // trailing 8 bytes: blob checksum
-		if saveA[i] != saveB[i] {
-			diff++
-		}
-	}
-	if diff != 1 {
-		t.Fatalf("checkpoints differ in %d bytes beyond the checksum, want exactly the sharedImage flag", diff)
+	// WithSharedImage is a no-op: the option leaves no trace in the
+	// checkpoint (its former config byte is written false either way).
+	if !bytes.Equal(saveA, saveB) {
+		t.Fatalf("checkpoints with and without WithSharedImage differ (%d vs %d bytes)", len(saveA), len(saveB))
 	}
 
-	raShared, errA := a.Wait(context.Background())
-	rbPrivate, errB := b.Wait(context.Background())
+	ra, errA := a.Wait(context.Background())
+	rb, errB := b.Wait(context.Background())
 	if errA != nil || errB != nil {
-		t.Fatalf("wait: shared %v, private %v", errA, errB)
+		t.Fatalf("wait: with option %v, without %v", errA, errB)
 	}
-	if raShared != rbPrivate {
-		t.Fatalf("terminal results differ:\n  shared:  %+v\n  private: %+v", raShared, rbPrivate)
+	if ra != rb {
+		t.Fatalf("terminal results differ:\n  with option:    %+v\n  without option: %+v", ra, rb)
 	}
 	if sa, sb := a.Snapshot(), b.Snapshot(); sa != sb {
-		t.Fatalf("final snapshots differ:\n  shared:  %+v\n  private: %+v", sa, sb)
+		t.Fatalf("final snapshots differ:\n  with option:    %+v\n  without option: %+v", sa, sb)
 	}
 }

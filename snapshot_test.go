@@ -258,6 +258,29 @@ func TestRestoreValidatesConfig(t *testing.T) {
 	}
 }
 
+// TestRestoreBoundsBackups pins the replica-count bound: a checkpoint
+// whose backup count exceeds its machine sections minus one (one per
+// node ever booted) is rejected as corrupt before any replica is built,
+// not allocated or panicked on.
+func TestRestoreBoundsBackups(t *testing.T) {
+	blob := saveBlob(t)
+	// The backup count follows the epoch length, the protocol byte, the
+	// link parameters (a length-prefixed name and six 8-byte fields)
+	// and the detection timeout.
+	off := 8 + 4 + 8 + 9*4 + 8 + 1
+	off += 4 + int(binary.LittleEndian.Uint32(blob[off:])) + 6*8 + 8
+	if b := binary.LittleEndian.Uint64(blob[off:]); b != 1 {
+		t.Fatalf("backup-count field reads %d, want the default 1", b)
+	}
+	for _, b := range []uint64{2, 1 << 31} {
+		binary.LittleEndian.PutUint64(blob[off:], b)
+		_, err := Restore(bytes.NewReader(reseal(blob)))
+		if !errors.Is(err, ErrSnapshotCorrupt) || !strings.Contains(err.Error(), "machine sections") {
+			t.Fatalf("restore of %d backups over two machine sections: got %v, want the ErrSnapshotCorrupt bound", b, err)
+		}
+	}
+}
+
 // TestRestoreVerifyCatchesTamper pins the post-replay verification: a
 // snapshot whose embedded state capture disagrees with the replayed
 // run (here: a resealed tamper deep in the capture section) is
