@@ -496,8 +496,12 @@ type Snapshot struct {
 	// Halted reports whether the acting node's guest has halted.
 	Halted bool
 	// Protocol counters, summed over every engine that has acted.
-	MessagesSent         uint64
-	BytesSent            uint64
+	MessagesSent uint64
+	BytesSent    uint64
+	// AcksReceived counts acknowledgements delivered to a coordinator,
+	// as they arrive. MessagesSent counts one message per backup sent
+	// to, and every backup acknowledges each, so the two are equal once
+	// a healthy run completes.
 	AcksReceived         uint64
 	IntsForwarded        uint64
 	Divergences          uint64

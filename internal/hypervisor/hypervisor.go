@@ -513,9 +513,10 @@ func (hv *Hypervisor) ReleaseDeferredThrough(epoch uint64) (int, sim.Time) {
 
 // DropSuppressedThrough discards suppressed entries of epochs <= epoch
 // without emitting them: the backup-side counterpart of
-// ReleaseDeferredThrough, applied when an epoch frame's release
-// watermark proves the coordinator performed those outputs. Entries of
-// later epochs are retained for a possible promotion flush.
+// ReleaseDeferredThrough, applied when the coordinator's [end, E]
+// message, a sync replay record, or an epoch frame's release watermark
+// proves the coordinator performed those outputs. Entries of later
+// epochs are retained for a possible promotion flush.
 func (hv *Hypervisor) DropSuppressedThrough(epoch uint64) {
 	n := 0
 	for n < len(hv.suppressed) && hv.suppressed[n].epoch <= epoch {
@@ -775,14 +776,6 @@ func (hv *Hypervisor) OutstandingUncertain() (out []Interrupt, uncertain int) {
 		}
 	}
 	return out, uncertain
-}
-
-// CommitSuppressedOutputs drops the current epoch's suppressed-output
-// buffer: the backup calls it once the coordinator's end-of-epoch
-// message proves the epoch's outputs were performed by the I/O-active
-// side.
-func (hv *Hypervisor) CommitSuppressedOutputs() {
-	hv.suppressed = hv.suppressed[:0]
 }
 
 // FlushSuppressedOutputs re-emits the suppressed environment output a

@@ -315,7 +315,7 @@ func (bk *Backup) replayVerbatim(p *sim.Proc, e uint64, digest uint64, v *SyncEp
 	hv.DeliverBuffered()
 	// The verbatim record proves the (new) coordinator completed this
 	// epoch, so its environment output was performed: drop ours.
-	hv.CommitSuppressedOutputs()
+	hv.DropSuppressedThrough(e)
 	if len(bk.downs) > 0 {
 		bk.archive.record(*v)
 	}
@@ -510,19 +510,17 @@ func (bk *Backup) Run(p *sim.Proc) {
 			bk.archive.record(SyncEpoch{Epoch: e, Tme: tme, Ints: delivered, Digest: b.Digest, Halted: end.Halted})
 		}
 		hv.DeliverBuffered()
-		if end.HasCut {
+		if !end.HasCut {
+			// [end, E] proves the coordinator completed epoch E, so the
+			// epoch's environment output was performed: drop the suppressed
+			// copy (a failover epoch — no end message — re-emits it instead).
+			hv.DropSuppressedThrough(e)
+		} else if end.HaveReleased {
 			// Output commit: the coordinator has emitted only through its
 			// release watermark. Drop our suppressed copies up to it and
 			// RETAIN the rest — they are the promotion flush set (output
 			// the coordinator may die without ever releasing).
-			if end.HaveReleased {
-				hv.DropSuppressedThrough(end.Released)
-			}
-		} else {
-			// [end, E] proves the coordinator completed epoch E, so the
-			// epoch's environment output was performed: drop the suppressed
-			// copy (a failover epoch — no end message — re-emits it instead).
-			hv.CommitSuppressedOutputs()
+			hv.DropSuppressedThrough(end.Released)
 		}
 		hv.ChargeBoundary(p)
 		hv.SetTODBase(tme)

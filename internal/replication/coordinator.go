@@ -85,7 +85,10 @@ func (a *epochArchive) since(from uint64) []SyncEpoch {
 // (or the §4.3 revision) against a hypervisor, fanning messages out to a
 // set of backups through a sender. It is shared between the initial
 // Primary engine and a Backup that has been promoted and must continue
-// coordinating lower-priority backups.
+// coordinating lower-priority backups. One boundary loop serves every
+// protocol; the only fork is how a boundary is shipped — inline
+// [Tme_p]/[end,E] messages (classic), or one coalesced frame queued for
+// the transmit process (output commit, outputcommit.go).
 type coordinator struct {
 	hv      *hypervisor.Hypervisor
 	s       *sender
@@ -97,28 +100,30 @@ type coordinator struct {
 	// engine's Hooks so late assignment is seen).
 	hooks *Hooks
 	node  int
+	k     *sim.Kernel
 
 	intIndex uint32 // capture index within the current epoch
 
-	// endSeqs maps recent epochs to the sender sequence number of their
-	// msgEnd, pending acknowledgement; ackedThrough is the newest epoch
-	// every live peer provably holds end to end (FIFO links: acking the
-	// End implies holding everything before it). Drives archive trimming.
-	endSeqs      []endSeqRec
+	// sent is the ledger of shipped epochs awaiting acknowledgement,
+	// oldest first: each epoch with the sequence number of the message
+	// that completed it ([end, E], or the epoch frame under output
+	// commit). retire pops the prefix every live peer acknowledged;
+	// ackedThrough is the newest epoch every live peer provably holds
+	// end to end (FIFO links: acking the completing message implies
+	// holding everything before it). Drives archive trimming.
+	sent         []SentEpoch
 	ackedThrough uint64
 	haveAcked    bool
+	// ackSig is broadcast by every acknowledgement delivery (and by the
+	// transmit process as its queue drains); waitAcked sleeps on it.
+	ackSig *sim.Signal
 
-	// Output-commit state (outputcommit.go): configuration, the commit
-	// window of sent-but-unacknowledged epochs, the release watermark,
-	// the frame pool, the wait signal and the kernel handle used by the
-	// acknowledgement delivery hook.
+	// Output-commit state (outputcommit.go): configuration, the release
+	// watermark and the frame pool.
 	oc           OutputCommit
-	ocPend       []ocPending
 	released     uint64
 	haveReleased bool
 	pool         *netsim.FramePool[epochHead, hypervisor.Interrupt]
-	ocSig        *sim.Signal
-	k            *sim.Kernel
 	// txq/txSig/txClose drive the dedicated transmit process (txLoop):
 	// stamped frames awaiting fan-out, its wakeup signal, and the
 	// end-of-run close flag. Not captured by snapshots — restore replays
@@ -147,39 +152,31 @@ func (c *coordinator) drained() bool {
 	if !c.oc.Enabled {
 		return true
 	}
-	return len(c.txq) == 0 && len(c.ocPend) == 0
+	return len(c.txq) == 0 && len(c.sent) == 0
 }
 
-type endSeqRec struct {
-	epoch, seq uint64
-}
-
-// install hooks the coordinator into the hypervisor. Call once, with the
-// driving process, before run.
+// install hooks the coordinator into the hypervisor and every peer's
+// acknowledgement channel. Call once, with the driving process, before
+// run.
 func (c *coordinator) install(p *sim.Proc) {
 	c.s.proc = p
+	c.k = p.Kernel()
+	c.ackSig = c.k.NewSignal("coord.ack")
+	for _, ps := range c.s.peers {
+		ps.peer.RX.OnDeliver = c.ackHandler(ps)
+	}
 	hv := c.hv
 	if c.oc.Enabled {
 		// Output commit: interrupts ride the coalesced epoch frame (no
-		// per-capture forwarding), output is deferred instead of gated
-		// (the protocol variants behave identically), and each peer's
-		// acknowledgement channel feeds the release path directly.
+		// per-capture forwarding), and output is deferred instead of
+		// gated (the protocol variants behave identically).
 		hv.OnCapture = nil
 		hv.OnBeforeIO = nil
 		hv.SetOutputDeferral(p.Now)
-		c.k = p.Kernel()
-		c.ocSig = c.k.NewSignal("oc.release")
-		if c.pool == nil {
-			c.pool = &netsim.FramePool[epochHead, hypervisor.Interrupt]{}
-		}
-		if c.txSig == nil {
-			c.txSig = c.k.NewSignal("oc.tx")
-			c.bpool = &netsim.FramePool[struct{}, *epochFrame]{}
-			c.k.Spawn(fmt.Sprintf("oc-tx%d", c.node), c.txLoop)
-		}
-		for _, ps := range c.s.peers {
-			ps.peer.RX.OnDeliver = c.ackHandler(ps)
-		}
+		c.pool = &netsim.FramePool[epochHead, hypervisor.Interrupt]{}
+		c.bpool = &netsim.FramePool[struct{}, *epochFrame]{}
+		c.txSig = c.k.NewSignal("oc.tx")
+		c.k.Spawn(fmt.Sprintf("oc-tx%d", c.node), c.txLoop)
 	} else {
 		// P1: forward every captured interrupt immediately.
 		hv.OnCapture = func(i hypervisor.Interrupt) {
@@ -197,7 +194,7 @@ func (c *coordinator) install(p *sim.Proc) {
 				}
 				start := p.Now()
 				c.stats.IOGateWaits++
-				c.s.awaitAcks(c.stopped)
+				c.waitAcked(p, c.s.fullyAcked)
 				c.stats.IOGateWaitTime += p.Now() - start
 			}
 		} else {
@@ -211,44 +208,41 @@ func (c *coordinator) install(p *sim.Proc) {
 // run executes epochs until the guest halts or the coordinator is
 // stopped. tme0 is the clock base for the first epoch it runs.
 func (c *coordinator) run(p *sim.Proc, tme0 uint32) {
-	if c.oc.Enabled {
-		c.runOC(p, tme0)
-		return
-	}
 	hv := c.hv
 	hv.SetTODBase(tme0)
 	for !hv.Halted() && !c.stopped() {
+		// Output commit: window admission, at most Window epochs
+		// awaiting acknowledgement.
+		if c.oc.Enabled && !c.waitAcked(p, c.windowOpen) {
+			return
+		}
 		b := hv.RunEpoch(p)
 		if c.stopped() {
 			return
 		}
 		c.stats.Epochs++
-
-		// --- Rule P2 ---
 		tme := b.TOD
-		c.s.send(message{Kind: msgTme, Epoch: b.Epoch, Tme: tme})
-		if c.proto == ProtocolOld {
-			c.s.awaitAcks(c.stopped)
+
+		var f *epochFrame
+		if c.oc.Enabled {
+			f = c.newFrame(b)
+		} else {
+			// --- Rule P2 ---
+			c.s.send(message{Kind: msgTme, Epoch: b.Epoch, Tme: tme})
+			if c.proto == ProtocolOld && !c.waitAcked(p, c.s.fullyAcked) {
+				return
+			}
+			// send charges per-peer setup time, so virtual time passed
+			// and a failstop may have landed mid-boundary. A failstopped
+			// processor halts where it stands: it must not deliver,
+			// archive, or commit the epoch — a zombie commit would feed
+			// observers (the session's commit coordinates, AddBackup's
+			// state capture) an epoch the replica set never saw,
+			// because the End message died with the severed links.
 			if c.stopped() {
 				return
 			}
-		} else {
-			// Non-blocking: harvest any acks already delivered so the
-			// archive trim below sees current coverage. No virtual time
-			// passes, so protocol timing is unchanged.
-			c.s.drainAcks()
 		}
-		// send charges per-peer setup time, so virtual time passed and a
-		// failstop may have landed mid-boundary. A failstopped processor
-		// halts where it stands: it must not deliver, archive, or commit
-		// the epoch — a zombie commit would feed observers (the session's
-		// commit coordinates, AddBackup's state capture) an epoch the
-		// replica set never saw, because the End message died with the
-		// severed links.
-		if c.stopped() {
-			return
-		}
-		c.trimAcked()
 		hv.TimerInterruptsDue(tme)
 		var delivered []hypervisor.Interrupt
 		if buf := hv.Buffered(); len(buf) > 0 {
@@ -259,12 +253,31 @@ func (c *coordinator) run(p *sim.Proc, tme0 uint32) {
 			Epoch: b.Epoch, Tme: tme, Ints: delivered,
 			Digest: b.Digest, Halted: b.Halted,
 		})
-		c.s.send(message{Kind: msgEnd, Epoch: b.Epoch, Digest: b.Digest, Halted: b.Halted})
-		c.endSeqs = append(c.endSeqs, endSeqRec{epoch: b.Epoch, seq: c.s.seq})
-		// Same rationale as above: the End send slept, and a failstop
-		// landing there means no peer holds this epoch's End — the
-		// commit must not be observed.
+		if f != nil {
+			c.enqueueFrame(f)
+		} else {
+			c.s.send(message{Kind: msgEnd, Epoch: b.Epoch, Digest: b.Digest, Halted: b.Halted})
+		}
+		c.sent = append(c.sent, SentEpoch{Epoch: b.Epoch, Seq: c.s.seq})
+		// Classic: the End send slept, and a failstop landing there
+		// means no peer holds this epoch's End — the commit must not be
+		// observed. Output commit paid no time here; the check covers
+		// the event-context stops delivered during RunEpoch.
 		if c.stopped() {
+			return
+		}
+		c.retire()
+		if c.stopped() {
+			return
+		}
+		// A reintegration wants this boundary as its state-transfer
+		// point: hold here until the stream drains, so the captured image
+		// never certifies an epoch that would be lost — and re-executed
+		// differently by a promoted backup — were this processor to
+		// failstop now. Draining BEFORE the commit hook lets the
+		// session's boundary-sampled stop predicate observe the drained
+		// state.
+		if c.joinBarrier && !c.waitAcked(p, c.drained) {
 			return
 		}
 		if c.hooks != nil && c.hooks.EpochCommitted != nil {
@@ -274,28 +287,98 @@ func (c *coordinator) run(p *sim.Proc, tme0 uint32) {
 		hv.SetTODBase(tme)
 		c.intIndex = 0
 	}
+	if c.oc.Enabled {
+		// Drain: the guest halted (or stopped) with epochs still in
+		// flight — wait their acknowledgements out so the final output
+		// is released, then let the transmit process exit.
+		c.waitAcked(p, func() bool { return len(c.sent) == 0 })
+		c.txClose = true
+		c.txSig.Broadcast()
+	}
 }
 
-// trimAcked advances the acknowledged-epoch watermark from the sender's
-// ack state and prunes archive history more than archiveResyncKeep
-// epochs behind it. An epoch whose End every live peer acked can never
-// need replaying, so a healthy coordinator's archive stays a short tail
-// instead of growing with the run (the window cap in record remains the
-// backstop for lagging peers).
-func (c *coordinator) trimAcked() {
+// ackHandler returns the delivery hook for one peer's acknowledgement
+// channel. It runs in simulation-event context (no blocking): update the
+// ack watermark, retire what the new watermark covers, and wake a
+// waiting coordinator.
+func (c *coordinator) ackHandler(ps *peerState) func(netsim.Message) {
+	return func(raw netsim.Message) {
+		if !ps.absorb(raw, c.s.seq, c.stats) {
+			return
+		}
+		// A failstopped coordinator must not emit: an acknowledgement
+		// already in flight when the processor stopped still arrives
+		// (links deliver what was sent), but releasing output for it
+		// would be a zombie interaction with the environment.
+		if c.stopped() {
+			return
+		}
+		c.retire()
+		c.ackSig.Broadcast()
+	}
+}
+
+// attachPeer splices a late joiner into the fan-out and, once the
+// coordinator is installed, wires its acknowledgement channel in.
+func (c *coordinator) attachPeer(p Peer) {
+	ps := c.s.addPeer(p)
+	if c.ackSig != nil {
+		ps.peer.RX.OnDeliver = c.ackHandler(ps)
+	}
+}
+
+// retire pops every ledger epoch whose completing message all live
+// peers acknowledged, advances ackedThrough and prunes archive history
+// more than archiveResyncKeep epochs behind it — an epoch every live
+// peer holds can never need replaying, so a healthy coordinator's
+// archive stays a short tail (the window cap in record remains the
+// backstop for lagging peers). Under output commit each retired epoch's
+// deferred output is released, in order. Safe in event and process
+// context alike (device output and link sends do not block).
+func (c *coordinator) retire() {
 	ma := c.s.minAcked()
-	done := 0
-	for done < len(c.endSeqs) && c.endSeqs[done].seq <= ma {
-		c.ackedThrough = c.endSeqs[done].epoch
-		c.haveAcked = true
-		done++
+	n := 0
+	for n < len(c.sent) && c.sent[n].Seq <= ma {
+		e := c.sent[n].Epoch
+		c.ackedThrough, c.haveAcked = e, true
+		n++
+		if c.oc.Enabled {
+			c.release(e, len(c.sent)-n)
+		}
 	}
-	if done > 0 {
-		// Compact survivors to the front so the backing array is reused.
-		n := copy(c.endSeqs, c.endSeqs[done:])
-		c.endSeqs = c.endSeqs[:n]
+	if n == 0 {
+		return
 	}
-	if c.haveAcked && c.ackedThrough+1 > archiveResyncKeep {
+	// Compact survivors to the front so the backing array is reused.
+	m := copy(c.sent, c.sent[n:])
+	c.sent = c.sent[:m]
+	if c.ackedThrough+1 > archiveResyncKeep {
 		c.archive.trim(c.ackedThrough + 1 - archiveResyncKeep)
 	}
+}
+
+// waitAcked blocks until cond holds, waking on acknowledgement arrivals
+// and ticking the liveness detector through silences: rule P2's wait,
+// the §4.3 I/O gate, output-commit window admission, the join barrier
+// and the end-of-run drain. Returns false if the coordinator stopped
+// while waiting.
+func (c *coordinator) waitAcked(p *sim.Proc, cond func() bool) bool {
+	if cond() {
+		return true
+	}
+	start := p.Now()
+	c.stats.AckWaits++
+	defer func() { c.stats.AckWaitTime += p.Now() - start }()
+	for !cond() {
+		if c.stopped() {
+			return false
+		}
+		if !p.WaitTimeout(c.ackSig, 10*sim.Millisecond) {
+			// Silence: peers may have died, or their links gone down —
+			// both advance minAcked by exclusion.
+			c.s.livenessTick(p.Now())
+			c.retire()
+		}
+	}
+	return true
 }

@@ -89,11 +89,27 @@ type epochFrame = netsim.Frame[epochHead, hypervisor.Interrupt]
 // controller.
 type epochBatch = netsim.Frame[struct{}, *epochFrame]
 
-// ocPending is one epoch in the commit window: sent, awaiting the
-// acknowledgement that releases its deferred output.
-type ocPending struct {
-	epoch uint64
-	seq   uint64
+// windowOpen reports whether another epoch may start: fewer than
+// Window (minimum 1) epochs await acknowledgement.
+func (c *coordinator) windowOpen() bool {
+	return len(c.sent) < max(c.oc.Window, 1)
+}
+
+// newFrame builds an epoch's coalesced frame. The interrupt records are
+// snapshotted BEFORE timer synthesis: backups compute timer interrupts
+// from Tme themselves, exactly as in the classic protocol.
+func (c *coordinator) newFrame(b hypervisor.Boundary) *epochFrame {
+	f := c.pool.Get()
+	f.Head = epochHead{
+		Epoch: b.Epoch, Tme: b.TOD, Digest: b.Digest, Halted: b.Halted,
+		Cut:      b.GuestInstr,
+		Released: c.released, HaveReleased: c.haveReleased,
+	}
+	for _, i := range c.hv.Buffered() {
+		f.Recs = append(f.Recs, i)
+		f.Size += i.WireSize()
+	}
+	return f
 }
 
 // enqueueFrame stamps one coalesced epoch frame with the next sequence
@@ -123,7 +139,7 @@ func (c *coordinator) enqueueFrame(f *epochFrame) {
 // times, and on the guest's own critical path. It exits on coordinator
 // failstop (queued frames die with the processor, exactly as writes a
 // failstopped CPU never posted to its controller) or once the queue is
-// drained after runOC closes it.
+// drained after run closes it.
 func (c *coordinator) txLoop(p *sim.Proc) {
 	for {
 		if c.stopped() {
@@ -141,7 +157,7 @@ func (c *coordinator) txLoop(p *sim.Proc) {
 			c.txq[0] = nil
 			c.txq = c.txq[:0]
 			c.s.transmitFrame(p, f, c.stopped)
-			c.ocSig.Broadcast() // wake a join barrier watching txq drain
+			c.ackSig.Broadcast() // wake a join barrier watching txq drain
 			continue
 		}
 		// Backlog: coalesce everything queued into one batch message.
@@ -154,7 +170,7 @@ func (c *coordinator) txLoop(p *sim.Proc) {
 		b.Size += 8 // batch header
 		c.txq = c.txq[:0]
 		c.s.transmitBatch(p, b, c.stopped)
-		c.ocSig.Broadcast() // wake a join barrier watching txq drain
+		c.ackSig.Broadcast() // wake a join barrier watching txq drain
 	}
 }
 
@@ -211,176 +227,21 @@ func (s *sender) transmitBatch(p *sim.Proc, b *epochBatch, stopped func() bool) 
 	b.Release()
 }
 
-// ackHandler returns the delivery hook for one peer's acknowledgement
-// channel. It runs in simulation-event context (no blocking): update the
-// ack watermark, then release whatever the new watermark commits.
-func (c *coordinator) ackHandler(ps *peerState) func(netsim.Message) {
-	return func(raw netsim.Message) {
-		if !ps.absorb(raw, c.s.seq, c.stats) {
-			return
+// release emits retired epoch e's deferred output and reports it to the
+// OutputCommitted hook; inflight is how many epochs remain in the
+// commit window afterwards.
+func (c *coordinator) release(e uint64, inflight int) {
+	cnt, firstAt := c.hv.ReleaseDeferredThrough(e)
+	c.released, c.haveReleased = e, true
+	c.stats.OutputsReleased += uint64(cnt)
+	if c.hooks != nil && c.hooks.OutputCommitted != nil {
+		now := c.k.Now()
+		var lat sim.Time
+		if cnt > 0 && firstAt > 0 {
+			lat = now - firstAt
 		}
-		// A failstopped coordinator must not emit: an acknowledgement
-		// already in flight when the processor stopped still arrives
-		// (links deliver what was sent), but releasing output for it
-		// would be a zombie interaction with the environment.
-		if c.stopped() {
-			return
-		}
-		c.ocRelease()
-		c.ocSig.Broadcast()
+		c.hooks.OutputCommitted(c.node, e, now, lat, cnt, inflight)
 	}
-}
-
-// attachPeer splices a late joiner into the fan-out and, under output
-// commit, wires its acknowledgement channel into the release path.
-func (c *coordinator) attachPeer(p Peer) {
-	ps := c.s.addPeer(p)
-	if c.oc.Enabled && c.ocSig != nil {
-		ps.peer.RX.OnDeliver = c.ackHandler(ps)
-	}
-}
-
-// ocRelease advances the release watermark: every pending epoch whose
-// frame all live peers acknowledged has its deferred output emitted, in
-// order. Called from the acknowledgement delivery hook and from the
-// coordinator's own wait ticks; safe in both contexts (device output and
-// link sends do not block).
-func (c *coordinator) ocRelease() {
-	ma := c.s.minAcked()
-	n := 0
-	for n < len(c.ocPend) && c.ocPend[n].seq <= ma {
-		pe := c.ocPend[n]
-		cnt, firstAt := c.hv.ReleaseDeferredThrough(pe.epoch)
-		c.released, c.haveReleased = pe.epoch, true
-		c.ackedThrough, c.haveAcked = pe.epoch, true
-		c.stats.OutputsReleased += uint64(cnt)
-		n++
-		if c.hooks != nil && c.hooks.OutputCommitted != nil {
-			now := c.k.Now()
-			var lat sim.Time
-			if cnt > 0 && firstAt > 0 {
-				lat = now - firstAt
-			}
-			c.hooks.OutputCommitted(c.node, pe.epoch, now, lat, cnt, len(c.ocPend)-n)
-		}
-	}
-	if n > 0 {
-		m := copy(c.ocPend, c.ocPend[n:])
-		c.ocPend = c.ocPend[:m]
-		if c.haveAcked && c.ackedThrough+1 > archiveResyncKeep {
-			c.archive.trim(c.ackedThrough + 1 - archiveResyncKeep)
-		}
-	}
-}
-
-// ocWait blocks until cond holds, waking on acknowledgement arrivals and
-// ticking the liveness detector through silences. Returns false if the
-// coordinator stopped while waiting.
-func (c *coordinator) ocWait(p *sim.Proc, cond func() bool) bool {
-	if cond() {
-		return true
-	}
-	start := p.Now()
-	c.stats.AckWaits++
-	for !cond() {
-		if c.stopped() {
-			c.stats.AckWaitTime += p.Now() - start
-			return false
-		}
-		if !p.WaitTimeout(c.ocSig, 10*sim.Millisecond) {
-			// Silence: peers may have died, or their links gone down —
-			// both advance minAcked by exclusion.
-			c.s.livenessTick(p.Now())
-			c.ocRelease()
-		}
-	}
-	c.stats.AckWaitTime += p.Now() - start
-	return true
-}
-
-// runOC is the coordinator loop under output commit: execute epochs
-// back-to-back inside the commit window, ship each as one coalesced
-// frame, and let acknowledgements release deferred output asynchronously.
-func (c *coordinator) runOC(p *sim.Proc, tme0 uint32) {
-	hv := c.hv
-	hv.SetTODBase(tme0)
-	w := c.oc.Window
-	if w < 1 {
-		w = 1
-	}
-	for !hv.Halted() && !c.stopped() {
-		// Window admission: at most w epochs awaiting acknowledgement.
-		if !c.ocWait(p, func() bool { return len(c.ocPend) < w }) {
-			return
-		}
-		b := hv.RunEpoch(p)
-		if c.stopped() {
-			return
-		}
-		c.stats.Epochs++
-		tme := b.TOD
-
-		// Build the coalesced frame. The interrupt records are snapshotted
-		// BEFORE timer synthesis: backups compute timer interrupts from
-		// Tme themselves, exactly as in the classic protocol.
-		f := c.pool.Get()
-		f.Head = epochHead{
-			Epoch: b.Epoch, Tme: tme, Digest: b.Digest, Halted: b.Halted,
-			Cut:      b.GuestInstr,
-			Released: c.released, HaveReleased: c.haveReleased,
-		}
-		for _, i := range hv.Buffered() {
-			f.Recs = append(f.Recs, i)
-			f.Size += i.WireSize()
-		}
-		hv.TimerInterruptsDue(tme)
-		var delivered []hypervisor.Interrupt
-		if buf := hv.Buffered(); len(buf) > 0 {
-			delivered = append([]hypervisor.Interrupt(nil), buf...)
-		}
-		hv.DeliverBuffered()
-		c.archive.record(SyncEpoch{
-			Epoch: b.Epoch, Tme: tme, Ints: delivered,
-			Digest: b.Digest, Halted: b.Halted,
-		})
-		c.enqueueFrame(f)
-		c.ocPend = append(c.ocPend, ocPending{epoch: b.Epoch, seq: c.s.seq})
-		// Unlike the classic loop, no virtual time passed since the
-		// epoch ended (the transmit process pays the fan-out cost), so a
-		// failstop cannot land mid-boundary; the re-check is kept for
-		// the event-context stops delivered during RunEpoch's device
-		// polling.
-		if c.stopped() {
-			return
-		}
-		c.ocRelease()
-		if c.stopped() {
-			return
-		}
-		if c.joinBarrier {
-			// A reintegration wants this boundary as its state-transfer
-			// point: hold here until the stream drains, so the captured
-			// image never certifies an epoch that would be lost — and
-			// re-executed differently by a promoted backup — were this
-			// processor to failstop now. Draining BEFORE the commit hook
-			// lets the session's boundary-sampled stop predicate observe
-			// the drained state.
-			if !c.ocWait(p, func() bool { return c.drained() }) {
-				return
-			}
-		}
-		if c.hooks != nil && c.hooks.EpochCommitted != nil {
-			c.hooks.EpochCommitted(c.node, b.Epoch, tme, p.Now(), b.Halted)
-		}
-		hv.ChargeBoundary(p)
-		hv.SetTODBase(tme)
-	}
-	// Drain: the guest halted (or stopped) with epochs still in flight —
-	// wait their acknowledgements out so the final output is released,
-	// then let the transmit process exit.
-	c.ocWait(p, func() bool { return len(c.ocPend) == 0 })
-	c.txClose = true
-	c.txSig.Broadcast()
 }
 
 // fileFrame files one received epoch frame: the coalesced equivalent of

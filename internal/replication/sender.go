@@ -60,17 +60,6 @@ func newSender(peers []Peer, stats *Stats) *sender {
 	return s
 }
 
-// alive reports whether any peer is still connected (all peers down
-// means coordination is moot — run unreplicated).
-func (s *sender) alive() bool {
-	for _, p := range s.peers {
-		if !p.peer.TX.Down() {
-			return true
-		}
-	}
-	return false
-}
-
 // send transmits one sequenced message to every peer, paying the I/O
 // controller set-up cost once per peer (§4.3: this cost is
 // link-independent).
@@ -109,19 +98,6 @@ func (p *peerState) absorb(raw netsim.Message, seq uint64, stats *Stats) bool {
 		p.progressAt = 0
 	}
 	return true
-}
-
-// drainAcks consumes already-delivered acknowledgements from all peers.
-func (s *sender) drainAcks() {
-	for _, p := range s.peers {
-		for {
-			raw, ok := p.peer.RX.Inbox.TryRecv()
-			if !ok {
-				break
-			}
-			p.absorb(raw, s.seq, s.stats)
-		}
-	}
 }
 
 // livenessTick applies the acknowledgement-liveness timeout from a wait
@@ -180,44 +156,6 @@ func (s *sender) fullyAcked() bool {
 		}
 	}
 	return true
-}
-
-// awaitAcks blocks until every message sent so far is acknowledged by
-// every live peer — rule P2's wait and the §4.3 I/O gate. With a
-// peerTimeout configured, a peer that acknowledges nothing for that
-// long while its channel stays up is declared failed and excluded, so
-// a partition cannot block the coordinator forever.
-func (s *sender) awaitAcks(stop func() bool) {
-	s.drainAcks()
-	if s.fullyAcked() {
-		return
-	}
-	start := s.proc.Now()
-	s.stats.AckWaits++
-	for !s.fullyAcked() && (stop == nil || !stop()) {
-		// Block on the first lagging live peer; FIFO links mean acks
-		// arrive in order, so per-peer blocking is fair.
-		var lag *peerState
-		for _, p := range s.peers {
-			if !p.excluded() && p.acked < s.seq {
-				lag = p
-				break
-			}
-		}
-		if lag == nil {
-			break
-		}
-		raw, ok := lag.peer.RX.Inbox.RecvTimeout(s.proc, 10*sim.Millisecond)
-		if !ok {
-			// Re-check liveness and other peers' queues.
-			s.drainAcks()
-			s.livenessTick(s.proc.Now())
-			continue
-		}
-		lag.absorb(raw, s.seq, s.stats)
-		s.drainAcks()
-	}
-	s.stats.AckWaitTime += s.proc.Now() - start
 }
 
 // disconnectAll severs every peer channel (failstop).

@@ -18,8 +18,9 @@ import (
 	"repro/internal/hypervisor"
 )
 
-// EndSeqState is one epoch's end-message sequence watermark.
-type EndSeqState struct {
+// SentEpoch is one shipped epoch awaiting acknowledgement: the epoch
+// and the sequence number of the message that completed it.
+type SentEpoch struct {
 	Epoch uint64
 	Seq   uint64
 }
@@ -35,15 +36,13 @@ type CoordinatorState struct {
 	// IntIndex is the capture index within the current epoch (P1
 	// message dedupe key).
 	IntIndex uint32
-	// EndSeqs are the epochs whose end-message acknowledgement is still
-	// outstanding; AckedThrough/HaveAcked is the resulting watermark.
-	EndSeqs      []EndSeqState
+	// Sent is the ledger of shipped epochs still awaiting
+	// acknowledgement, oldest first (under output commit, the commit
+	// window); AckedThrough/HaveAcked is the resulting watermark and
+	// Released/HaveReleased the output-release watermark.
+	Sent         []SentEpoch
 	AckedThrough uint64
 	HaveAcked    bool
-	// Window is the output-commit window of sent-but-unacknowledged
-	// epochs (epoch, frame seq), oldest first; Released/HaveReleased is
-	// the output-release watermark.
-	Window       []EndSeqState
 	Released     uint64
 	HaveReleased bool
 	// Archive is the retained epoch-replay tail, oldest first.
@@ -121,12 +120,7 @@ func (c *coordinator) capture() CoordinatorState {
 	for _, p := range c.s.peers {
 		s.PeerAcked = append(s.PeerAcked, p.acked)
 	}
-	for _, r := range c.endSeqs {
-		s.EndSeqs = append(s.EndSeqs, EndSeqState{Epoch: r.epoch, Seq: r.seq})
-	}
-	for _, r := range c.ocPend {
-		s.Window = append(s.Window, EndSeqState{Epoch: r.epoch, Seq: r.seq})
-	}
+	s.Sent = append([]SentEpoch(nil), c.sent...)
 	s.Released, s.HaveReleased = c.released, c.haveReleased
 	s.Archive = c.archive.capture()
 	return s

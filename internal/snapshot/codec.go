@@ -40,8 +40,10 @@ import (
 // 4 = the output-commit engine (epoch/start/time-tagged suppressed
 // output entries, coordinator commit-window and release watermark,
 // frame-decoded end-message fields, output-commit configuration and
-// stats counters).
-const FormatVersion = 4
+// stats counters); 5 = one coordinator ledger (the end-message
+// watermarks and the output-commit window merge into one sent-epoch
+// list, and acknowledgements are counted on delivery).
+const FormatVersion = 5
 
 // ErrVersion reports a snapshot written by a different format version.
 // Errors wrapping it are returned by NewReader; test with errors.Is.

@@ -142,7 +142,7 @@ func TestCoordinatorBackupStateCodec(t *testing.T) {
 		Seq:       9,
 		PeerAcked: []uint64{9, 7},
 		IntIndex:  3,
-		EndSeqs:   []replication.EndSeqState{{Epoch: 4, Seq: 8}},
+		Sent:      []replication.SentEpoch{{Epoch: 4, Seq: 8}},
 		HaveAcked: true, AckedThrough: 3,
 		Archive: []replication.SyncEpoch{{
 			Epoch: 4, Tme: 100, Digest: 0xAB, Halted: false,

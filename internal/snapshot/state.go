@@ -453,18 +453,13 @@ func PutCoordinatorState(w *Writer, s replication.CoordinatorState) {
 		w.U64(a)
 	}
 	w.U32(s.IntIndex)
-	w.U32(uint32(len(s.EndSeqs)))
-	for _, e := range s.EndSeqs {
+	w.U32(uint32(len(s.Sent)))
+	for _, e := range s.Sent {
 		w.U64(e.Epoch)
 		w.U64(e.Seq)
 	}
 	w.U64(s.AckedThrough)
 	w.Bool(s.HaveAcked)
-	w.U32(uint32(len(s.Window)))
-	for _, e := range s.Window {
-		w.U64(e.Epoch)
-		w.U64(e.Seq)
-	}
 	w.U64(s.Released)
 	w.Bool(s.HaveReleased)
 	putSyncEpochs(w, s.Archive)
@@ -482,14 +477,10 @@ func CoordinatorState(r *Reader) replication.CoordinatorState {
 	s.IntIndex = r.U32()
 	n = int(r.U32())
 	for i := 0; i < n && r.Err() == nil; i++ {
-		s.EndSeqs = append(s.EndSeqs, replication.EndSeqState{Epoch: r.U64(), Seq: r.U64()})
+		s.Sent = append(s.Sent, replication.SentEpoch{Epoch: r.U64(), Seq: r.U64()})
 	}
 	s.AckedThrough = r.U64()
 	s.HaveAcked = r.Bool()
-	n = int(r.U32())
-	for i := 0; i < n && r.Err() == nil; i++ {
-		s.Window = append(s.Window, replication.EndSeqState{Epoch: r.U64(), Seq: r.U64()})
-	}
 	s.Released = r.U64()
 	s.HaveReleased = r.Bool()
 	s.Archive = syncEpochs(r)

@@ -213,15 +213,18 @@ func reseal(blob []byte) []byte {
 	return out
 }
 
-// TestRestoreVersionMismatch pins the version gate: a snapshot from a
-// different format version is rejected with ErrSnapshotVersion.
+// TestRestoreVersionMismatch pins the version gate: a snapshot from the
+// previous or the next format version is rejected with
+// ErrSnapshotVersion.
 func TestRestoreVersionMismatch(t *testing.T) {
-	blob := saveBlob(t)
-	// The version word sits right after the 8-byte magic.
-	blob[8]++
-	_, err := Restore(bytes.NewReader(reseal(blob)))
-	if !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("restore of future-version snapshot: got %v, want ErrSnapshotVersion", err)
+	for _, delta := range []int{-1, +1} {
+		blob := saveBlob(t)
+		// The version word sits right after the 8-byte magic.
+		blob[8] = byte(int(blob[8]) + delta)
+		_, err := Restore(bytes.NewReader(reseal(blob)))
+		if !errors.Is(err, ErrSnapshotVersion) {
+			t.Fatalf("restore of format %d snapshot: got %v, want ErrSnapshotVersion", blob[8], err)
+		}
 	}
 }
 
