@@ -31,6 +31,7 @@ package chaos
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	hft "repro"
 	"repro/internal/clientsim"
@@ -149,12 +150,28 @@ func (w Workload) clientLoadConfig() *clientsim.Config {
 	}
 }
 
-// bareKey identifies a bare baseline. Bare runs see no network and no
-// failures, so the protocol/link/backups axes are irrelevant.
+// bareKey identifies a bare baseline by exactly what a bare run reads.
+// Bare runs see no network and no failures, so the protocol/link/
+// backups axes are irrelevant; a bare session never reads the epoch
+// length (it is not even passed on); and the kernel seed's only
+// consumer in a bare run is the client population. So the key is the
+// shape name, plus the seed only for shapes with a client population.
+// TestBareKeySound proves the claim over a grid of seeds and epochs.
 type bareKey struct {
 	workload string
 	seed     int64
-	epoch    uint64
+}
+
+// bareSeed is the kernel seed of every baseline whose shape has no
+// seeded consumer. Fixing it keeps each cached value a pure function
+// of its key, whichever shard asked first.
+const bareSeed = 1
+
+func keyFor(w Workload, seed int64) bareKey {
+	if w.ClientLoad == nil {
+		seed = bareSeed
+	}
+	return bareKey{w.Name, seed}
 }
 
 // baseline is what the invariants compare a perturbed replicated run
@@ -167,56 +184,79 @@ type baseline struct {
 	err      error
 }
 
+// bareEntry computes one key's baseline once, however many fleet
+// workers miss on it together.
+type bareEntry struct {
+	once sync.Once
+	b    baseline
+}
+
 var (
 	bareMu    sync.Mutex
-	bareCache = map[bareKey]baseline{}
+	bareCache = map[bareKey]*bareEntry{}
+	// bareRuns counts computed baselines (cache misses).
+	bareRuns atomic.Int64
 )
 
-// bareBaseline runs (or recalls) the unreplicated reference execution
-// for a shape. The public hft.RunBare cannot express multi-disk or
-// terminal configurations, so the baseline is computed directly on the
-// session engine with Bare set. Results are cached: a campaign
-// executes thousands of schedules over five shapes.
-func bareBaseline(w Workload, seed int64, epoch uint64) baseline {
-	key := bareKey{w.Name, seed, epoch}
+// bareBaseline recalls (or computes once) the unreplicated reference
+// execution for a shape. Results are cached by bareKey: a campaign or
+// fleet executes thousands of schedules over six shapes.
+func bareBaseline(w Workload, seed int64) baseline {
+	key := keyFor(w, seed)
 	bareMu.Lock()
-	b, ok := bareCache[key]
-	bareMu.Unlock()
-	if ok {
-		return b
+	e := bareCache[key]
+	if e == nil {
+		e = &bareEntry{}
+		bareCache[key] = e
 	}
+	bareMu.Unlock()
+	e.once.Do(func() { e.b = runBare(w, bareOptions(w, key.seed)) })
+	return e.b
+}
 
-	eng := session.New(session.Options{
-		Seed:        seed,
-		Bare:        true,
-		Program:     session.WorkloadProgram(w.Guest),
-		ExtraDisks:  make([]scsi.DiskConfig, w.ExtraDisks),
-		Terminal:    terminalInputs(w.Terminal),
-		ClientLoad:  w.clientLoadConfig(),
-		EpochLength: epoch,
-	})
+// bareOptions configures the bare session for a shape. The public
+// hft.RunBare cannot express multi-disk or terminal configurations, so
+// the baseline runs directly on the session engine with Bare set.
+func bareOptions(w Workload, seed int64) session.Options {
+	return session.Options{
+		Seed:       seed,
+		Bare:       true,
+		Program:    session.WorkloadProgram(w.Guest),
+		ExtraDisks: make([]scsi.DiskConfig, w.ExtraDisks),
+		Terminal:   terminalInputs(w.Terminal),
+		ClientLoad: w.clientLoadConfig(),
+	}
+}
+
+// runBare executes one bare session to completion. A panic becomes the
+// baseline's error, so a cached entry never holds a half-computed value.
+func runBare(w Workload, o session.Options) (b baseline) {
+	bareRuns.Add(1)
+	defer func() {
+		if r := recover(); r != nil {
+			b = baseline{err: fmt.Errorf("chaos: bare baseline for %q: panic: %v", w.Name, r)}
+		}
+	}()
+	eng := session.New(o)
 	defer eng.Close()
 	if err := eng.RunToCompletion(nil); err != nil {
-		b = baseline{err: fmt.Errorf("chaos: bare baseline for %q: %w", w.Name, err)}
-	} else if r, err := eng.Result(); err != nil {
-		b = baseline{err: fmt.Errorf("chaos: bare baseline for %q: %w", w.Name, err)}
-	} else {
-		b = baseline{checksum: r.Guest.Checksum, console: r.Console, replies: r.NetReplies, panic: r.Guest.Panic}
+		return baseline{err: fmt.Errorf("chaos: bare baseline for %q: %w", w.Name, err)}
 	}
-
-	bareMu.Lock()
-	bareCache[key] = b
-	bareMu.Unlock()
-	return b
+	r, err := eng.Result()
+	if err != nil {
+		return baseline{err: fmt.Errorf("chaos: bare baseline for %q: %w", w.Name, err)}
+	}
+	return baseline{checksum: r.Guest.Checksum, console: r.Console, replies: r.NetReplies, panic: r.Guest.Panic}
 }
 
 // Bare exposes the cached bare reference execution for a shape —
 // hftsim's `check` scenario command compares a replayed run against
 // it, turning an emitted reproduction into a self-verifying script.
 // replies is the NIC reply transcript (empty for shapes without a
-// client population).
+// client population). The epoch length is ignored: a bare run never
+// reads it. So is the seed, for shapes without a client population.
 func Bare(w Workload, seed int64, epoch uint64) (checksum uint32, console, replies string, err error) {
-	b := bareBaseline(w, seed, epoch)
+	b := bareBaseline(w, seed)
 	return b.checksum, b.console, b.replies, b.err
 }
 

@@ -133,7 +133,7 @@ func ExecuteOpts(s Schedule, o ExecOptions) (rep Report) {
 		rep.Violation = &Violation{Kind: VPanic, Detail: err.Error()}
 		return rep
 	}
-	bare := bareBaseline(shape, s.Seed, s.Epoch)
+	bare := bareBaseline(shape, s.Seed)
 	if bare.err != nil {
 		rep.Violation = &Violation{Kind: VPanic, Detail: bare.err.Error()}
 		return rep

@@ -169,7 +169,7 @@ func NewReader(blob []byte, magic string) (*Reader, error) {
 // fail latches the first error.
 func (r *Reader) fail() {
 	if r.err == nil {
-		r.err = fmt.Errorf("%w: truncated at offset %d", ErrCorrupt, r.off)
+		r.err = fmt.Errorf("%w: malformed or truncated at offset %d", ErrCorrupt, r.off)
 	}
 }
 
@@ -190,8 +190,16 @@ func (r *Reader) U8() uint8 {
 	return v
 }
 
-// Bool reads a boolean.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
+// Bool reads a boolean. Only the two bytes Writer.Bool emits decode;
+// any other value is corruption.
+func (r *Reader) Bool() bool {
+	v := r.U8()
+	if v > 1 {
+		r.fail()
+		return false
+	}
+	return v == 1
+}
 
 // U32 reads a little-endian uint32.
 func (r *Reader) U32() uint32 {

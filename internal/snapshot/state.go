@@ -1,6 +1,8 @@
 package snapshot
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/hypervisor"
@@ -21,58 +23,68 @@ const TransferMagic = "HFTXFER1"
 // implementation would ship too (VMware FT and Remus both elide
 // untouched pages).
 
-// putRAM writes a sparse page-granular RAM image.
+// maxRAMBytes bounds a decoded RAM image. Sessions build 1 MiB
+// machines and a machine.Config defaults to 8 MiB; anything larger in a
+// snapshot is corruption, refused before it is allocated.
+const maxRAMBytes = 16 << 20
+
+// zeros is one all-zero page: putRAM finds zero pages by comparing
+// against it, which runs at memory speed.
+var zeros [isa.PageSize]byte
+
+// putRAM writes a sparse page-granular RAM image in one pass: the page
+// count is reserved up front and patched once the pages are written.
 func putRAM(w *Writer, mem []byte) {
 	w.U32(uint32(len(mem)))
+	at := len(w.buf)
+	w.U32(0)
 	n := 0
 	for base := 0; base < len(mem); base += isa.PageSize {
-		if !zeroPage(mem[base:min(base+isa.PageSize, len(mem))]) {
-			n++
-		}
-	}
-	w.U32(uint32(n))
-	for base := 0; base < len(mem); base += isa.PageSize {
-		end := min(base+isa.PageSize, len(mem))
-		if zeroPage(mem[base:end]) {
+		page := mem[base:min(base+isa.PageSize, len(mem))]
+		if bytes.Equal(page, zeros[:len(page)]) {
 			continue
 		}
 		w.U32(uint32(base >> isa.PageShift))
-		w.Bytes(mem[base:end])
+		w.Bytes(page)
+		n++
 	}
+	binary.LittleEndian.PutUint32(w.buf[at:], uint32(n))
 }
 
 // ram reads a sparse RAM image back into a full zero-filled buffer.
-func ram(r *Reader) []byte {
-	size := int(r.U32())
-	n := int(r.U32())
-	if r.Err() != nil || size < 0 || size > 1<<31 {
+// size is the capture's own MemBytes field; the image must match it.
+// Counts are bounded before anything is allocated, and only the
+// canonical encoding putRAM writes is accepted (pages ascending,
+// nonzero, each exactly as long as its extent in RAM), so a decoded
+// image re-encodes to the same bytes.
+func ram(r *Reader, size uint32) []byte {
+	got := r.U32()
+	n := r.U32()
+	pages := (uint64(size) + isa.PageSize - 1) >> isa.PageShift
+	if r.Err() != nil || got != size || size > maxRAMBytes ||
+		uint64(n) > pages || int(n) > r.Remaining()/8 {
 		r.fail()
 		return nil
 	}
 	mem := make([]byte, size)
-	for i := 0; i < n; i++ {
-		page := int(r.U32())
+	next := uint64(0) // lowest page index the next entry may name
+	for i := uint32(0); i < n; i++ {
+		page := uint64(r.U32())
 		data := r.Bytes()
 		if r.Err() != nil {
 			return nil
 		}
 		base := page << isa.PageShift
-		if base < 0 || base+len(data) > size {
+		if page < next || page >= pages ||
+			uint64(len(data)) != min(isa.PageSize, uint64(size)-base) ||
+			bytes.Equal(data, zeros[:len(data)]) {
 			r.fail()
 			return nil
 		}
 		copy(mem[base:], data)
+		next = page + 1
 	}
 	return mem
-}
-
-func zeroPage(p []byte) bool {
-	for _, b := range p {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // PutMachineState encodes a machine capture.
@@ -108,7 +120,7 @@ func MachineState(r *Reader) machine.State {
 	s.Halted = r.Bool()
 	s.Cycles = r.U64()
 	s.Stats = machineStats(r)
-	s.Mem = ram(r)
+	s.Mem = ram(r, s.MemBytes)
 	s.TLB = tlbState(r)
 	return s
 }
